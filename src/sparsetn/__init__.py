@@ -49,12 +49,14 @@ from .states import (
     state_to_json,
     to_statevector,
 )
+from .env import Environment
 from .bp import (
     BpConfig,
     BpDiagnostics,
     Rdm,
     SiteAverages,
     bp_diagnostics_to_csv,
+    bp_iterate,
     bp_step,
     entanglement_entropy,
     expectation,

@@ -11,7 +11,8 @@ messages and keeps large graphs free of over/underflow.
 Convergence is judged on two-site reduced density matrices, not on raw
 messages: message entries can settle into a limit cycle while all local
 observables are already stationary, so the message residual is reported as a
-diagnostic only.
+diagnostic only. Messages, one- and two-site RDMs and the convergence check
+all come from the gates of ``sparsetn.env``, built once per message set.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
+from .env import Environment, site_gate, unit_trace
 from .states import TensorNetworkState
 from .tensor import PAULI_X, PAULI_Y, PAULI_Z, tensor_from_json, tensor_to_json
 
@@ -34,6 +36,7 @@ __all__ = [
     "SiteAverages",
     "init_messages",
     "bp_step",
+    "bp_iterate",
     "run_bp",
     "rdm",
     "expectation",
@@ -120,66 +123,13 @@ def init_messages(state: TensorNetworkState, init: str = "identity", seed: int =
     return msgs
 
 
-def _raw_out_message(t, in_msgs, skip):
-    """Unnormalized update: contract ket, bra and all incoming messages but one."""
-    r = t.ndim - 1
-    operands = [t, [0] + [2 + 2 * l for l in range(r)], t.conj(), [0] + [3 + 2 * l for l in range(r)]]
-    for l in range(r):
-        if l == skip:
-            continue
-        operands.extend([in_msgs[l], [2 + 2 * l, 3 + 2 * l]])
-    return np.einsum(*operands, [2 + 2 * skip, 3 + 2 * skip])
-
-
-def _site_gate(t, in_msgs, skips):
-    """Doubled site tensor with messages absorbed on all legs except ``skips``.
-
-    Axes of the result: ket phys, bra phys, then a (ket, bra) bond pair per
-    skipped leg, in the order given.
-    """
-    r = t.ndim - 1
-    operands = [t, [0] + [2 + 2 * l for l in range(r)], t.conj(), [1] + [3 + 2 * l for l in range(r)]]
-    skipset = set(skips)
-    for l in range(r):
-        if l in skipset:
-            continue
-        operands.extend([in_msgs[l], [2 + 2 * l, 3 + 2 * l]])
-    out = [0, 1]
-    for l in skips:
-        out.extend([2 + 2 * l, 3 + 2 * l])
-    return np.einsum(*operands, out)
-
-
 def bp_step(state: TensorNetworkState, msgs: dict, damping: float = 0.0, workers: int = 1) -> dict:
-    """One synchronous update: all new messages computed from the input set."""
-    g = state.graph
+    """One synchronous update: all new messages computed from the input set.
 
-    def outgoing(i):
-        t = state.site_tensors[i]
-        nbrs = g.neighbors(i)
-        in_msgs = [msgs[(k, i)] for k in nbrs]
-        out = {}
-        for pos, j in enumerate(nbrs):
-            raw = _raw_out_message(t, in_msgs, pos)
-            raw = 0.5 * (raw + raw.conj().T)
-            tr = np.trace(raw).real
-            if not np.isfinite(tr) or tr <= 0.0:
-                raise RuntimeError(f"message {i}->{j} lost positivity (trace={tr})")
-            new = raw / tr
-            if damping:
-                new = (1.0 - damping) * new + damping * msgs[(i, j)]
-            out[(i, j)] = new
-        return out
-
-    new_msgs = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for out in ex.map(outgoing, range(g.n)):
-                new_msgs.update(out)
-    else:
-        for i in range(g.n):
-            new_msgs.update(outgoing(i))
-    return new_msgs
+    ``workers`` is accepted for compatibility and has no effect: updates run
+    in one thread, since a thread pool measured no gain at these tensor sizes.
+    """
+    return Environment(state, msgs).messages(damping)
 
 
 def rdm(state: TensorNetworkState, msgs: dict, sites) -> Rdm:
@@ -200,41 +150,47 @@ def rdm(state: TensorNetworkState, msgs: dict, sites) -> Rdm:
     for u, v in zip(sites, sites[1:]):
         if not g.has_edge(u, v):
             raise ValueError("sites must form a connected path in the graph")
+    if k < 3:
+        return Rdm(sites=sites, matrix=Environment(state, msgs).rdm(sites))
+    # three sites may close a triangle, so every edge inside the set is contracted by label
     inset = set(sites)
-    acc = None
-    labels: list = []
-    for s in sites:
+    bonds: dict = {}
+    operands = []
+    for pos, s in enumerate(sites):
         nbrs = g.neighbors(s)
-        skips = [pos for pos, u in enumerate(nbrs) if u in inset]
+        inner = [u for u in nbrs if u in inset]
+        labels = [pos, k + pos]
+        for u in inner:
+            bond = bonds.setdefault(frozenset((s, u)), 2 * k + 2 * len(bonds))
+            labels += [bond, bond + 1]
         in_msgs = [None if u in inset else msgs[(u, s)] for u in nbrs]
-        gate = _site_gate(state.site_tensors[s], in_msgs, skips)
-        g_labels = [("kp", s), ("bp", s)]
-        for pos in skips:
-            u = nbrs[pos]
-            e = (min(s, u), max(s, u))
-            g_labels.extend([("kv", e), ("bv", e)])
-        if acc is None:
-            acc, labels = gate, g_labels
-        else:
-            pa, pt = [], []
-            for pos, lab in enumerate(g_labels):
-                if lab in labels:
-                    pa.append(labels.index(lab))
-                    pt.append(pos)
-            acc = np.tensordot(acc, gate, axes=(pa, pt))
-            drop_a, drop_t = set(pa), set(pt)
-            labels = [lab for i, lab in enumerate(labels) if i not in drop_a] + [
-                lab for i, lab in enumerate(g_labels) if i not in drop_t
-            ]
-    perm = [labels.index(("kp", s)) for s in sites] + [labels.index(("bp", s)) for s in sites]
-    acc = np.transpose(acc, perm)
+        operands += [site_gate(state.site_tensors[s], in_msgs, [g.leg(s, u) for u in inner]), labels]
     d = state.phys_dim
-    mat = acc.reshape(d**k, d**k)
-    mat = 0.5 * (mat + mat.conj().T)
-    tr = np.trace(mat).real
-    if not np.isfinite(tr) or tr <= 0.0:
-        raise RuntimeError(f"reduced density matrix on {sites} has non-positive trace {tr}")
-    return Rdm(sites=sites, matrix=mat / tr)
+    mat = np.einsum(*operands, list(range(2 * k))).reshape(d**k, d**k)
+    return Rdm(sites=sites, matrix=unit_trace(mat, "reduced density matrix on {} has non-positive trace {tr}", sites))
+
+
+def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0):
+    """Synchronous steps from ``msgs``, without end.
+
+    Yields ``(messages, rdm_delta, message_delta)`` after every step: the new
+    message set, the largest trace distance between a two-site RDM on an edge
+    before and after the step, and the largest Frobenius change of a message.
+    Each message set's gates are contracted once and give both its edge RDMs
+    and the next messages.
+    """
+    edges = state.graph.edges
+    env = Environment(state, msgs)
+    prev = [env.rdm(e) for e in edges]
+    while True:
+        new_msgs = env.messages(damping)
+        msg_delta = max((float(np.linalg.norm(new - msgs[key])) for key, new in new_msgs.items()), default=0.0)
+        msgs = new_msgs
+        env = Environment(state, msgs)
+        cur = [env.rdm(e) for e in edges]
+        rdm_delta = _trace_distance(prev, cur) if edges else 0.0
+        prev = cur
+        yield msgs, rdm_delta, msg_delta
 
 
 def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: dict | None = None):
@@ -246,42 +202,22 @@ def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: dict | 
     cfg = cfg or BpConfig()
     if msgs is None:
         msgs = init_messages(state, cfg.init, cfg.init_seed)
-    edges = state.graph.edges
-    prev = {e: rdm(state, msgs, e).matrix for e in edges}
-    rdm_deltas: list = []
-    message_deltas: list = []
-    converged = False
-    steps = 0
-    for _ in range(cfg.max_steps):
-        new_msgs = bp_step(state, msgs, cfg.damping, cfg.workers)
-        msg_delta = 0.0
-        for key, new in new_msgs.items():
-            msg_delta = max(msg_delta, float(np.linalg.norm(new - msgs[key])))
-        msgs = new_msgs
-        cur = {e: rdm(state, msgs, e).matrix for e in edges}
-        rdm_delta = 0.0
-        for e in edges:
-            rdm_delta = max(rdm_delta, _trace_distance(prev[e], cur[e]))
-        prev = cur
-        steps += 1
-        rdm_deltas.append(rdm_delta)
-        message_deltas.append(msg_delta)
+    diag = BpDiagnostics(steps_run=0, converged=False)
+    for msgs, rdm_delta, msg_delta in islice(bp_iterate(state, msgs, cfg.damping), cfg.max_steps):
+        diag.steps_run += 1
+        diag.rdm_deltas.append(rdm_delta)
+        diag.message_deltas.append(msg_delta)
         if rdm_delta <= cfg.rdm_tolerance:
-            converged = True
+            diag.converged = True
             break
-    diag = BpDiagnostics(
-        steps_run=steps,
-        converged=converged,
-        rdm_deltas=rdm_deltas,
-        message_deltas=message_deltas,
-        final_messages=msgs,
-    )
+    diag.final_messages = msgs
     return msgs, diag
 
 
 def _trace_distance(m1, m2) -> float:
-    w = np.linalg.eigvalsh(m1 - m2)
-    return 0.5 * float(np.sum(np.abs(w)))
+    """Half the trace norm of ``m1 - m2``; for stacks of matrices, the largest one."""
+    w = np.linalg.eigvalsh(np.subtract(m1, m2))
+    return 0.5 * float(np.abs(w).sum(axis=-1).max())
 
 
 def expectation(rho: Rdm, op) -> float:
@@ -324,11 +260,12 @@ def site_averaged_observables(state: TensorNetworkState, msgs: dict) -> SiteAver
     if state.phys_dim != 2:
         raise ValueError("site_averaged_observables requires qubits (d = 2)")
     g = state.graph
+    env = Environment(state, msgs)
     abs_z = []
     xs = []
     ys = []
     for a in range(g.n):
-        rho = rdm(state, msgs, (a,))
+        rho = Rdm(sites=(a,), matrix=env.rdm((a,)))
         abs_z.append(abs(expectation(rho, PAULI_Z)))
         xs.append(expectation(rho, PAULI_X))
         ys.append(expectation(rho, PAULI_Y))
@@ -336,7 +273,7 @@ def site_averaged_observables(state: TensorNetworkState, msgs: dict) -> SiteAver
     entropies = []
     zzs = []
     for e in g.edges:
-        rho = rdm(state, msgs, e)
+        rho = Rdm(sites=e, matrix=env.rdm(e))
         entropies.append(entanglement_entropy(rho))
         zzs.append(expectation(rho, zz))
     return SiteAverages(

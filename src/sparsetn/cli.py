@@ -3,8 +3,13 @@
 Every subcommand is deterministic given its resolved configuration, which is
 written as JSON next to the outputs; re-running with that file reproduces the
 outputs bit-identically in single-threaded mode. Curves are emitted as CSV,
-objects as JSON. Exit codes: 0 success, 2 invalid configuration, 3 numerical
-failure (BP non-convergence is reported in a column, not treated as failure).
+objects as JSON. Exit codes: 0 success, 2 invalid configuration (including a
+problem too large for memory), 3 numerical failure (BP non-convergence is
+reported in a column, not treated as failure).
+
+``--threads`` is accepted by every subcommand. ``tfim-sweep`` runs its
+(hx, restart) jobs in that many processes; ``bp-run`` validates it (>= 1)
+and runs single-threaded; the other subcommands only record it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -24,10 +28,10 @@ from .tensor import PAULI_X, PAULI_Z
 _STATE_KINDS = ("graph", "sqrt", "product", "random")
 
 
-def _write_config(out_dir: str, name: str, cfg: dict) -> None:
-    with open(os.path.join(out_dir, f"{name}_config.json"), "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_config(args, name: str) -> None:
+    """Write every parsed option, so any run can be repeated with ``--config``."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    _write_json(os.path.join(args.out_dir, f"{name}_config.json"), cfg)
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -35,7 +39,7 @@ def _write_csv(path: str, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+            writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
 
 
 def _write_json(path: str, obj) -> None:
@@ -72,10 +76,6 @@ def _grid(spec: str):
     return [float(x) for x in spec.split(",")]
 
 
-def _resolved(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
-
-
 def cmd_graph_gen(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     if args.tree:
@@ -97,8 +97,7 @@ def cmd_graph_gen(args) -> int:
     if diag.expansion is not None:
         rows.append(("expansion", float(diag.expansion)))
     _write_csv(os.path.join(args.out_dir, "graph_diagnostics.csv"), ["key", "value"], rows)
-    _write_config(args.out_dir, "graph_gen",
-                  _resolved(args, ["n", "r", "seed", "tree", "branching", "max_cycle_len", "out", "out_dir"]))
+    _write_config(args, "graph_gen")
     return 0
 
 
@@ -122,9 +121,7 @@ def cmd_bp_run(args) -> int:
     })
     if args.save_messages:
         bp.save_messages(msgs, os.path.join(args.out_dir, "bp_messages.json"))
-    _write_config(args.out_dir, "bp_run",
-                  _resolved(args, ["graph", "state", "beta", "j", "chi", "seed", "init", "max_steps",
-                                   "tol", "damping", "threads", "save_messages", "out_dir"]))
+    _write_config(args, "bp_run")
     return 0
 
 
@@ -133,20 +130,14 @@ def cmd_graphstate_check(args) -> int:
     g = _load_graph_arg(args)
     state = states.graph_state(g)
     msgs = bp.init_messages(state, args.init, args.seed)
-    prev = {e: bp.rdm(state, msgs, e).matrix for e in g.edges}
     rows = []
-    for step in range(1, args.steps + 1):
-        msgs = bp.bp_step(state, msgs, args.damping)
-        cur = {e: bp.rdm(state, msgs, e).matrix for e in g.edges}
-        delta = max((bp._trace_distance(prev[e], cur[e]) for e in g.edges), default=0.0)
-        prev = cur
+    for step, (msgs, delta, _) in zip(range(1, args.steps + 1), bp.bp_iterate(state, msgs, args.damping)):
         obs = bp.site_averaged_observables(state, msgs)
         rows.append((step, obs.mean_abs_z, obs.mean_x, obs.mean_y, obs.edge_entropy, obs.edge_zz, delta))
     _write_csv(os.path.join(args.out_dir, "graphstate_check.csv"),
                ["step", "mean_abs_z", "mean_x", "mean_y", "edge_entropy", "edge_zz", "max_rdm_trace_distance"],
                rows)
-    _write_config(args.out_dir, "graphstate_check",
-                  _resolved(args, ["graph", "steps", "init", "seed", "damping", "out_dir"]))
+    _write_config(args, "graphstate_check")
     return 0
 
 
@@ -186,9 +177,7 @@ def cmd_sqrt_sweep(args) -> int:
     _write_csv(os.path.join(args.out_dir, "sqrt_sweep.csv"), header, rows)
     if report:
         _write_json(os.path.join(args.out_dir, "sqrt_sweep_deviations.json"), report)
-    _write_config(args.out_dir, "sqrt_sweep",
-                  _resolved(args, ["graph", "betas", "j", "init", "max_steps", "tol", "damping",
-                                   "mc_sweeps", "mc_burn_in", "seed", "exact", "out_dir"]))
+    _write_config(args, "sqrt_sweep")
     return 0
 
 
@@ -218,9 +207,15 @@ def _trace_rows(hx, restart, trace: variational.VarTrace, n: int):
     return rows
 
 
+def _check_oracle(args, g: graph.Graph) -> None:
+    if args.oracle and g.n > 14:
+        raise ValueError("--oracle requires n <= 14")
+
+
 def cmd_var_prep(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     g = _load_graph_arg(args)
+    _check_oracle(args, g)
     if args.model == "mixed_field_ising":
         h = hamiltonian.mixed_field_ising(g, args.jzz, args.hx, args.hz)
         params = {"jzz": args.jzz, "hx": args.hx, "hz": args.hz}
@@ -238,55 +233,29 @@ def cmd_var_prep(args) -> int:
     summary = {"model": args.model, "params": params, "final_energy": trace.energies[-1],
                "final_energy_density": trace.energies[-1] / g.n}
     if args.oracle:
-        if g.n > 14:
-            raise ValueError("--oracle requires n <= 14")
         ed = oracles.exact_diagonalize(h)
+        psi = states.to_statevector(trace.final_state)
+        f0 = float(abs(np.vdot(ed.v0, psi)) ** 2)
         summary.update({
             "ed_e0": ed.e0,
             "ed_e1": ed.e1,
             "relative_energy_error": (trace.energies[-1] - ed.e0) / abs(ed.e0),
-            "fidelity_ground": oracles.fidelity(trace.final_state, ed.v0),
-            "ground_space_overlap": oracles.ground_space_overlap(trace.final_state, ed),
+            "fidelity_ground": f0,
+            "ground_space_overlap": f0 + float(abs(np.vdot(ed.v1, psi)) ** 2),
         })
     _write_json(os.path.join(args.out_dir, "var_prep_summary.json"), summary)
     if args.save_state:
         states.save_state(trace.final_state, os.path.join(args.out_dir, "var_prep_state.json"))
-    _write_config(args.out_dir, "var_prep",
-                  _resolved(args, ["graph", "model", "jzz", "hx", "hz", "chi", "t_var", "t_bp",
-                                   "n_gd", "gamma", "init", "init_beta", "init_noise", "seed",
-                                   "bp_damping", "oracle", "save_state", "out_dir"]))
+    _write_config(args, "var_prep")
     return 0
-
-
-def _sweep_job(payload):
-    gd, hx, i_hx, restart, cfg_kwargs, init_kind, init_beta, base_seed = payload
-    g = graph.graph_from_json(gd)
-    if init_kind == "product":
-        init = variational.ProductInit()
-    elif init_kind == "sqrt":
-        init = variational.SqrtInit(beta=init_beta)
-    else:
-        init = variational.RandomInit(seed=base_seed)
-    cfg = variational.VarConfig(init=init, **cfg_kwargs)
-    h = hamiltonian.transverse_field_ising(g, hx)
-    pt = variational.run_sweep_point(g, h, cfg, hx, i_hx, restart, base_seed)
-    return pt
 
 
 def cmd_tfim_sweep(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     g = _load_graph_arg(args)
+    _check_oracle(args, g)
     hxs = _grid(args.hx_grid)
-    cfg_kwargs = dict(t_var=args.t_var, t_bp=args.t_bp, n_gd=args.n_gd, gamma=args.gamma,
-                      chi=args.chi, init_noise=args.init_noise, bp_damping=args.bp_damping)
-    gd = graph.graph_to_json(g)
-    payloads = [(gd, float(hx), i, r, cfg_kwargs, args.init, args.init_beta, args.seed)
-                for i, hx in enumerate(hxs) for r in range(args.restarts)]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as ex:
-            points = list(ex.map(_sweep_job, payloads))
-    else:
-        points = [_sweep_job(p) for p in payloads]
+    points = variational.sweep(g, hxs, _var_config(args), args.restarts, args.seed, workers=args.threads)
     trace_rows = []
     summary_rows = []
     for pt in points:
@@ -300,8 +269,6 @@ def cmd_tfim_sweep(args) -> int:
                ["hx", "restart", "noise_seed", "mean_abs_z", "mean_x", "mean_zz", "energy",
                 "energy_density", "bp_converged"], summary_rows)
     if args.oracle:
-        if g.n > 14:
-            raise ValueError("--oracle requires n <= 14")
         ed_rows = []
         for hx in hxs:
             h = hamiltonian.transverse_field_ising(g, float(hx))
@@ -311,16 +278,14 @@ def cmd_tfim_sweep(args) -> int:
             ed_rows.append((hx, ed.e0, ed.e0 / g.n, ed.e1, zmean))
         _write_csv(os.path.join(args.out_dir, "tfim_sweep_ed.csv"),
                    ["hx", "e0", "e0_density", "e1", "ed_mean_abs_z"], ed_rows)
-    _write_config(args.out_dir, "tfim_sweep",
-                  _resolved(args, ["graph", "hx_grid", "restarts", "chi", "t_var", "t_bp", "n_gd",
-                                   "gamma", "init", "init_beta", "init_noise", "seed", "bp_damping",
-                                   "threads", "oracle", "out_dir"]))
+    _write_config(args, "tfim_sweep")
     return 0
 
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for tfim-sweep jobs; other subcommands run single-threaded")
     p.add_argument("--out-dir", default=".", help="directory for outputs and resolved config")
     p.add_argument("--config", default=None, help="JSON file of argument defaults")
 
@@ -421,6 +386,10 @@ def _apply_config_file(parser, argv):
     path = argv[idx + 1]
     with open(path) as fh:
         values = json.load(fh)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = subparsers.choices.get(argv[0])
+    negatable = {a.dest for a in (command._actions if command else ())
+                 if isinstance(a, argparse.BooleanOptionalAction)}
     extra = []
     for key, val in values.items():
         flag = "--" + key.replace("_", "-")
@@ -429,8 +398,8 @@ def _apply_config_file(parser, argv):
         if isinstance(val, bool):
             if val:
                 extra.append(flag)
-            elif key == "exact":  # the one BooleanOptionalAction flag: False must round-trip
-                extra.append(f"--no-{key}")
+            elif key in negatable:  # False must round-trip through --no-<flag>
+                extra.append(f"--no-{key.replace('_', '-')}")
         else:
             extra.extend([flag, str(val)])
     return argv[:1] + extra + argv[1:]
@@ -446,6 +415,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'allocation failed'}); use a smaller graph or bond dimension",
+              file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

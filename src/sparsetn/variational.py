@@ -5,10 +5,12 @@ The energy functional is the sum over Hamiltonian terms of normalized local
 expectation values computed from the current messages: each term is a quotient
 N_t / D_t where N_t inserts the term operator into the local contraction and
 D_t is the same contraction with the identity. Gradients are taken with
-respect to the conjugated site tensors with the messages held fixed, applying
-the quotient rule per term; because every term is a Hermitian form in each
-site tensor, the functional is real and the environment tensors are the exact
-gradients.
+respect to the conjugated site tensors with the messages held fixed. By the
+quotient rule, the gradient of N_t / D_t is the environment of the operator
+(h_t - e_t) / D_t with e_t = N_t / D_t, so one contraction per (term, site)
+covers both N_t and D_t; because every term is a Hermitian form in each site
+tensor, the functional is real and the environment tensors are the exact
+gradients. All contractions go through ``sparsetn.env``.
 
 Within one inner descent loop the fixed-message functional must not increase;
 a rise beyond tolerance aborts with a step-size diagnostic. The true energy
@@ -18,11 +20,14 @@ across outer iterations is not monotone (messages move between loops).
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bp import BpConfig, _site_gate, bp_step, init_messages, run_bp, site_averaged_observables
+from .bp import BpConfig, init_messages, run_bp, site_averaged_observables
+from .env import Environment
 from .graph import Graph
 from .hamiltonian import Hamiltonian, transverse_field_ising
 from .states import TensorNetworkState, product_state, random_state, square_root_state
@@ -110,118 +115,40 @@ class SweepPoint:
     bp_converged: bool
 
 
-def _gather(state, msgs):
-    """Per-directed-edge gates and raw (unnormalized) outgoing messages,
-    plus the fully dressed single-site density matrices."""
-    g = state.graph
-    gates = {}
-    raws = {}
-    rho1 = {}
-    for i in range(g.n):
-        t = state.site_tensors[i]
-        nbrs = g.neighbors(i)
-        in_msgs = [msgs[(k, i)] for k in nbrs]
-        for pos, jv in enumerate(nbrs):
-            gate = _site_gate(t, in_msgs, (pos,))
-            gates[(i, jv)] = gate
-            raws[(i, jv)] = np.einsum(gate, [0, 0, 2, 3], [2, 3])
-        rho1[i] = _site_gate(t, in_msgs, ())
-    return gates, raws, rho1
+def _energy(env: Environment, h: Hamiltonian, grads=None) -> float:
+    """Sum of normalized term values under one environment.
 
-
-def _edge_value(gates, raws, h4, a, b):
-    n_val = complex(
-        np.einsum(gates[(a, b)], [0, 1, 4, 5], gates[(b, a)], [2, 3, 4, 5], h4, [1, 3, 0, 2], [])
-    )
-    d_val = complex(np.einsum(raws[(a, b)], [0, 1], raws[(b, a)], [0, 1], []))
-    return n_val.real, d_val.real
-
-
-def _vertex_value(rho1, h2, a):
-    n_val = complex(np.einsum(rho1[a], [0, 1], h2, [1, 0], []))
-    d_val = complex(np.trace(rho1[a]))
-    return n_val.real, d_val.real
+    When ``grads`` is given, each term's fixed-message gradient is added to it
+    in place: the environment of the site applied to (h - e) / tr(block).
+    """
+    total = 0.0
+    terms = list(h.edge_terms.items()) + [((a,), hm) for a, hm in h.vertex_terms.items()]
+    for sites, hm in terms:
+        hm = np.asarray(hm, dtype=complex)
+        block = env.block(sites)
+        norm = float(np.trace(block).real)
+        if norm <= 0:
+            where = f"edge {sites}" if len(sites) == 2 else f"site {sites[0]}"
+            raise RuntimeError(f"{where}: vanishing local norm")
+        e = float(np.einsum("ij,ji->", block, hm).real) / norm
+        total += e
+        if grads is not None:
+            for site, grad in zip(sites, env.gradients(sites, (hm - e * np.eye(len(hm))) / norm)):
+                grads[site] += grad
+    return total
 
 
 def energy(state: TensorNetworkState, msgs: dict, h: Hamiltonian) -> float:
     """Sum of normalized local term expectations under the given messages."""
     if h.graph != state.graph:
         raise ValueError("hamiltonian and state live on different graphs")
-    gates, raws, rho1 = _gather(state, msgs)
-    d = state.phys_dim
-    total = 0.0
-    for (a, b), hm in h.edge_terms.items():
-        h4 = np.asarray(hm, dtype=complex).reshape(d, d, d, d)
-        n_val, d_val = _edge_value(gates, raws, h4, a, b)
-        if d_val <= 0:
-            raise RuntimeError(f"edge ({a}, {b}): vanishing local norm")
-        total += n_val / d_val
-    for a, hm in h.vertex_terms.items():
-        n_val, d_val = _vertex_value(rho1, np.asarray(hm, dtype=complex), a)
-        if d_val <= 0:
-            raise RuntimeError(f"site {a}: vanishing local norm")
-        total += n_val / d_val
-    return total
-
-
-def _energy_and_gradient(state: TensorNetworkState, msgs: dict, h: Hamiltonian):
-    g = state.graph
-    d = state.phys_dim
-    gates, raws, rho1 = _gather(state, msgs)
-    grads = [np.zeros_like(t) for t in state.site_tensors]
-    total = 0.0
-
-    def leg_msgs(i):
-        return [msgs[(k, i)] for k in g.neighbors(i)]
-
-    for (a, b), hm in h.edge_terms.items():
-        h4 = np.asarray(hm, dtype=complex).reshape(d, d, d, d)
-        n_val, d_val = _edge_value(gates, raws, h4, a, b)
-        if d_val <= 0:
-            raise RuntimeError(f"edge ({a}, {b}): vanishing local norm")
-        total += n_val / d_val
-        for site, other, hsub in ((a, b, [1, 49, 0, 48]), (b, a, [49, 1, 48, 0])):
-            t = state.site_tensors[site]
-            r = t.ndim - 1
-            ly = g.leg(site, other)
-            ms = leg_msgs(site)
-            ops_n = [t, [0] + [2 + 2 * l for l in range(r)]]
-            ops_d = [t, [0] + [2 + 2 * l for l in range(r)]]
-            for l in range(r):
-                if l == ly:
-                    continue
-                ops_n.extend([ms[l], [2 + 2 * l, 3 + 2 * l]])
-                ops_d.extend([ms[l], [2 + 2 * l, 3 + 2 * l]])
-            ops_n.extend([gates[(other, site)], [48, 49, 2 + 2 * ly, 3 + 2 * ly], h4, hsub])
-            ops_d.extend([raws[(other, site)], [2 + 2 * ly, 3 + 2 * ly]])
-            out_n = [1] + [3 + 2 * l for l in range(r)]
-            out_d = [0] + [3 + 2 * l for l in range(r)]
-            env_n = np.einsum(*ops_n, out_n)
-            env_d = np.einsum(*ops_d, out_d)
-            grads[site] += (env_n * d_val - n_val * env_d) / d_val**2
-
-    for a, hm in h.vertex_terms.items():
-        h2 = np.asarray(hm, dtype=complex)
-        n_val, d_val = _vertex_value(rho1, h2, a)
-        if d_val <= 0:
-            raise RuntimeError(f"site {a}: vanishing local norm")
-        total += n_val / d_val
-        t = state.site_tensors[a]
-        r = t.ndim - 1
-        ms = leg_msgs(a)
-        ops = [t, [0] + [2 + 2 * l for l in range(r)]]
-        for l in range(r):
-            ops.extend([ms[l], [2 + 2 * l, 3 + 2 * l]])
-        env_n = np.einsum(*(ops + [h2, [1, 0]]), [1] + [3 + 2 * l for l in range(r)])
-        env_d = np.einsum(*ops, [0] + [3 + 2 * l for l in range(r)])
-        grads[a] += (env_n * d_val - n_val * env_d) / d_val**2
-
-    return total, grads
+    return _energy(Environment(state, msgs), h)
 
 
 def energy_gradient(state: TensorNetworkState, msgs: dict, h: Hamiltonian):
     """Gradient of the fixed-message energy with respect to conjugated site tensors."""
-    _, grads = _energy_and_gradient(state, msgs, h)
+    grads = [np.zeros_like(t) for t in state.site_tensors]
+    _energy(Environment(state, msgs), h, grads)
     return grads
 
 
@@ -268,15 +195,20 @@ def variational_prepare(g: Graph, h: Hamiltonian, cfg: VarConfig) -> VarTrace:
     Messages warm-start across outer iterations. The per-iteration energy in
     the trace is the fixed-message functional evaluated after the inner loop.
     """
+    if h.graph != g:
+        raise ValueError("hamiltonian and state live on different graphs")
     state = _build_initial_state(g, cfg, h.phys_dim)
     msgs = init_messages(state, "identity")
+    env = Environment(state, msgs)
     trace = VarTrace()
     for _ in range(cfg.t_var):
         for _ in range(cfg.t_bp):
-            msgs = bp_step(state, msgs, cfg.bp_damping)
+            msgs = env.messages(cfg.bp_damping)
+            env = Environment(state, msgs)
         e_prev = None
         for k in range(cfg.n_gd):
-            e_val, grads = _energy_and_gradient(state, msgs, h)
+            grads = [np.zeros_like(t) for t in state.site_tensors]
+            e_val = _energy(env, h, grads)
             if e_prev is not None and e_val > e_prev + cfg.descent_tolerance * (1.0 + abs(e_prev)):
                 raise StepSizeError(
                     f"fixed-message energy rose from {e_prev:.12g} to {e_val:.12g} "
@@ -286,7 +218,8 @@ def variational_prepare(g: Graph, h: Hamiltonian, cfg: VarConfig) -> VarTrace:
             state = state.with_site_tensors(
                 [t - cfg.gamma * gr for t, gr in zip(state.site_tensors, grads)]
             )
-        trace.energies.append(energy(state, msgs, h))
+            env = Environment(state, msgs)
+        trace.energies.append(_energy(env, h))
         if state.phys_dim == 2:
             obs = site_averaged_observables(state, msgs)
             trace.mean_abs_z.append(obs.mean_abs_z)
@@ -305,23 +238,28 @@ def _derived_seed(base_seed: int, i: int, restart: int) -> int:
     return int(np.random.SeedSequence([base_seed, i, restart]).generate_state(1, dtype=np.uint64)[0])
 
 
-def sweep(g: Graph, hx_values, cfg: VarConfig, restarts: int, base_seed: int = 0):
+def sweep(g: Graph, hx_values, cfg: VarConfig, restarts: int, base_seed: int = 0, workers: int = 1):
     """Run the variational preparation over a transverse-field grid.
 
     Each (hx, restart) job perturbs the initial state with its own derived
     noise seed. Summary observables per job come from running the message
     iteration to convergence on the final state (warm-started from the final
     message set), so they do not depend on where the fixed message count left
-    off.
+    off. With ``workers > 1`` the jobs run in that many processes; the points
+    are the same, in the same order.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    points = []
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    jobs = []
     for i, hx in enumerate(hx_values):
         h = transverse_field_ising(g, float(hx))
-        for r in range(restarts):
-            points.append(run_sweep_point(g, h, cfg, float(hx), i, r, base_seed))
-    return points
+        jobs.extend((g, h, cfg, float(hx), i, r, base_seed) for r in range(restarts))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as ex:
+            return list(ex.map(run_sweep_point, *zip(*jobs)))
+    return [run_sweep_point(*job) for job in jobs]
 
 
 def run_sweep_point(

@@ -1,0 +1,124 @@
+"""The dressed-site-tensor layer against the plain-einsum reference kernels.
+
+Inputs cover what the layer claims to support beyond the shipped models:
+mixed vertex degrees with an isolated vertex, a different bond dimension on
+every edge, a physical dimension of 3, and random complex Hermitian edge and
+vertex terms (a real symmetric term cannot tell an operator from its
+transpose).
+"""
+
+from itertools import islice
+
+import numpy as np
+import pytest
+
+import reference_kernels as ref
+from sparsetn.bp import bp_iterate, bp_step, init_messages, rdm
+from sparsetn.env import Environment
+from sparsetn.graph import Graph
+from sparsetn.hamiltonian import Hamiltonian
+from sparsetn.states import TensorNetworkState
+from sparsetn.variational import energy, energy_gradient
+
+RTOL = 1e-12
+
+# degrees 2, 2, 3, 4, 2, 2, 1, 0: two triangles, a leaf and an isolated vertex
+EDGES = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6), (4, 5)]
+
+
+def assert_matches(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape
+    scale = np.max(np.abs(old))
+    assert np.max(np.abs(new - old)) <= RTOL * scale, np.max(np.abs(new - old)) / scale
+
+
+def random_hermitian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return a + a.conj().T
+
+
+def mixed_state(seed, phys_dim):
+    rng = np.random.default_rng(seed)
+    g = Graph(8, EDGES)
+    chis = {e: int(rng.integers(1, 4)) for e in g.edges}
+    tensors = []
+    for v in range(g.n):
+        shape = (phys_dim,) + tuple(chis[(min(v, u), max(v, u))] for u in g.neighbors(v))
+        tensors.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    state = TensorNetworkState(g, tensors, phys_dim)
+    h = Hamiltonian(
+        graph=g,
+        edge_terms={e: random_hermitian(rng, phys_dim**2) for e in g.edges},
+        vertex_terms={a: random_hermitian(rng, phys_dim) for a in range(g.n)},
+        phys_dim=phys_dim,
+    )
+    return state, init_messages(state, "random", seed=seed + 100), h
+
+
+CASES = [(seed, d) for seed in (0, 1, 2) for d in (2, 3)]
+
+
+@pytest.mark.parametrize("seed,d", CASES)
+def test_bond_dimensions_are_mixed(seed, d):
+    state, _, _ = mixed_state(seed, d)
+    assert len(set(state.bond_dims.values())) > 1
+    assert state.graph.degree(7) == 0
+
+
+@pytest.mark.parametrize("seed,d", CASES)
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+def test_messages_match_reference(seed, d, damping):
+    state, msgs, _ = mixed_state(seed, d)
+    new = bp_step(state, msgs, damping)
+    old = ref.bp_step(state, msgs, damping)
+    assert list(new) == list(old)
+    for key in old:
+        assert_matches(new[key], old[key])
+
+
+@pytest.mark.parametrize("seed,d", CASES)
+def test_rdms_match_reference(seed, d):
+    state, msgs, _ = mixed_state(seed, d)
+    g = state.graph
+    site_sets = [(a,) for a in range(g.n)]
+    site_sets += [e for e in g.edges] + [(b, a) for a, b in g.edges]
+    site_sets += [(0, 1, 2), (1, 2, 3), (4, 3, 6), (3, 4, 5)]  # open paths and closed triangles
+    for sites in site_sets:
+        assert_matches(rdm(state, msgs, sites).matrix, ref.rdm(state, msgs, sites))
+
+
+@pytest.mark.parametrize("seed,d", CASES)
+def test_energy_and_gradient_match_reference(seed, d):
+    state, msgs, h = mixed_state(seed, d)
+    e_ref, g_ref = ref.energy_and_gradient(state, msgs, h)
+    e_new = energy(state, msgs, h)
+    assert type(e_new) is float
+    assert abs(e_new - e_ref) <= RTOL * abs(e_ref)
+    for new, old in zip(energy_gradient(state, msgs, h), g_ref):
+        assert_matches(new, old)
+
+
+@pytest.mark.parametrize("seed,d", CASES)
+def test_bp_deltas_match_reference(seed, d):
+    state, msgs, _ = mixed_state(seed, d)
+    steps = list(islice(bp_iterate(state, msgs), 4))
+    for (_, rdm_delta, msg_delta), (rdm_old, msg_old) in zip(steps, ref.run_bp_deltas(state, msgs, 4)):
+        assert abs(rdm_delta - rdm_old) <= 1e-12 * max(rdm_old, 1e-3)
+        assert abs(msg_delta - msg_old) <= 1e-12 * max(msg_old, 1e-3)
+
+
+def test_environment_reuses_gates():
+    state, msgs, _ = mixed_state(0, 2)
+    env = Environment(state, msgs)
+    assert env.gate(2, 3) is env.gate(2, 3)
+    assert env.ket(7) is state.site_tensors[7]  # isolated: nothing to absorb
+
+
+def test_failures_name_the_message_or_sites():
+    state, msgs, _ = mixed_state(0, 2)
+    dead = {key: np.zeros_like(m) for key, m in msgs.items()}
+    with pytest.raises(RuntimeError, match=r"^message 0->1 lost positivity \(trace=0\.0\)$"):
+        bp_step(state, dead)
+    with pytest.raises(RuntimeError, match=r"^reduced density matrix on \(2, 3\) has non-positive trace 0\.0$"):
+        rdm(state, dead, (2, 3))
