@@ -257,31 +257,23 @@ def rdm_trace_distance(r1: Rdm, r2: Rdm) -> float:
 
 def site_averaged_observables(state: TensorNetworkState, msgs: dict) -> SiteAverages:
     """Arithmetic means of single-site Pauli expectations and edge quantities."""
-    if state.phys_dim != 2:
+    return _site_averages(Environment(state, msgs))
+
+
+def _site_averages(env: Environment) -> SiteAverages:
+    """``site_averaged_observables`` from an environment the caller already holds."""
+    if env.state.phys_dim != 2:
         raise ValueError("site_averaged_observables requires qubits (d = 2)")
-    g = state.graph
-    env = Environment(state, msgs)
-    abs_z = []
-    xs = []
-    ys = []
-    for a in range(g.n):
-        rho = Rdm(sites=(a,), matrix=env.rdm((a,)))
-        abs_z.append(abs(expectation(rho, PAULI_Z)))
-        xs.append(expectation(rho, PAULI_X))
-        ys.append(expectation(rho, PAULI_Y))
+    g = env.state.graph
+    site_rdms = [Rdm(sites=(a,), matrix=env.rdm((a,))) for a in range(g.n)]
+    edge_rdms = [Rdm(sites=e, matrix=env.rdm(e)) for e in g.edges]
     zz = np.kron(PAULI_Z, PAULI_Z)
-    entropies = []
-    zzs = []
-    for e in g.edges:
-        rho = Rdm(sites=e, matrix=env.rdm(e))
-        entropies.append(entanglement_entropy(rho))
-        zzs.append(expectation(rho, zz))
     return SiteAverages(
-        mean_abs_z=float(np.mean(abs_z)),
-        mean_x=float(np.mean(xs)),
-        mean_y=float(np.mean(ys)),
-        edge_entropy=float(np.mean(entropies)) if entropies else 0.0,
-        edge_zz=float(np.mean(zzs)) if zzs else 0.0,
+        mean_abs_z=float(np.mean([abs(expectation(rho, PAULI_Z)) for rho in site_rdms])),
+        mean_x=float(np.mean([expectation(rho, PAULI_X) for rho in site_rdms])),
+        mean_y=float(np.mean([expectation(rho, PAULI_Y) for rho in site_rdms])),
+        edge_entropy=float(np.mean([entanglement_entropy(rho) for rho in edge_rdms])) if edge_rdms else 0.0,
+        edge_zz=float(np.mean([expectation(rho, zz) for rho in edge_rdms])) if edge_rdms else 0.0,
     )
 
 

@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from . import bp, graph, hamiltonian, oracles, states, variational
+from .env import Environment
 from .tensor import PAULI_X, PAULI_Z
 
 _STATE_KINDS = ("graph", "sqrt", "product", "random")
@@ -159,7 +160,8 @@ def cmd_sqrt_sweep(args) -> int:
         cfg = bp.BpConfig(max_steps=args.max_steps, rdm_tolerance=args.tol,
                           damping=args.damping, init=args.init, init_seed=args.seed + i)
         msgs, diag = bp.run_bp(state, cfg)
-        obs = bp.site_averaged_observables(state, msgs)
+        env = Environment(state, msgs)
+        obs = bp._site_averages(env)
         mc = oracles.classical_ising_mc(g, beta, args.j, sweeps=args.mc_sweeps,
                                         burn_in=args.mc_burn_in, seed=args.seed + 1000 + i)
         row = [beta, obs.mean_abs_z, mc.mean_abs_z, mc.mean_abs_z_error, obs.mean_x,
@@ -167,8 +169,9 @@ def cmd_sqrt_sweep(args) -> int:
                int(diag.converged), diag.steps_run]
         if exact:
             ex = oracles.classical_exact_expectations(g, beta, args.j)
-            bp_z = np.array([bp.expectation(bp.rdm(state, msgs, (a,)), PAULI_Z) for a in range(g.n)])
-            bp_x = np.array([bp.expectation(bp.rdm(state, msgs, (a,)), PAULI_X) for a in range(g.n)])
+            rhos = [bp.Rdm(sites=(a,), matrix=env.rdm((a,))) for a in range(g.n)]
+            bp_z = np.array([bp.expectation(rho, PAULI_Z) for rho in rhos])
+            bp_x = np.array([bp.expectation(rho, PAULI_X) for rho in rhos])
             max_dev_z = float(np.max(np.abs(bp_z - ex.z)))
             max_dev_x = float(np.max(np.abs(bp_x - ex.x)))
             row += [float(np.mean(np.abs(ex.z))), float(np.mean(ex.x)), max_dev_z, max_dev_x]

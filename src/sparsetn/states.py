@@ -150,29 +150,27 @@ def random_state(g: Graph, chi: int, seed: int, phys_dim: int = 2) -> TensorNetw
 
 
 def to_statevector(state: TensorNetworkState):
-    """Contract the full network into a unit-norm amplitude vector (n <= 16)."""
+    """Contract the full network into a unit-norm amplitude vector (n <= 16).
+
+    Absorbs next the vertex with the most absorbed neighbors (lowest id on
+    ties), so the open bonds, not the vertex labels, bound the memory.
+    """
     g = state.graph
     n = g.n
     if n > 16:
         raise ValueError("to_statevector supports n <= 16")
-    acc = np.ones((), dtype=complex)
-    labels: list = []
-    for v in range(n):
-        t = state.site_tensors[v]
-        t_labels = [("p", v)] + [("v", min(v, u), max(v, u)) for u in g.neighbors(v)]
-        pairs_acc, pairs_t = [], []
-        for pos, lab in enumerate(t_labels):
-            if lab[0] == "v" and lab in labels:
-                pairs_acc.append(labels.index(lab))
-                pairs_t.append(pos)
-        acc = np.tensordot(acc, t, axes=(pairs_acc, pairs_t))
-        drop_acc = set(pairs_acc)
-        drop_t = set(pairs_t)
-        labels = [lab for i, lab in enumerate(labels) if i not in drop_acc] + [
-            lab for i, lab in enumerate(t_labels) if i not in drop_t
-        ]
-    perm = [labels.index(("p", v)) for v in range(n)]
-    vec = np.transpose(acc, perm).reshape(-1)
+    # axes of acc: the physical legs of ``done`` in order, then the open ``bonds`` (absorbed, waiting)
+    acc, done, bonds = np.ones((), dtype=complex), [], []
+    for _ in range(n):
+        v = max((u for u in range(n) if u not in done), key=lambda u: (sum(w in done for w in g.neighbors(u)), -u))
+        closing = [i for i, (_, w) in enumerate(bonds) if w == v]
+        acc = np.tensordot(acc, state.site_tensors[v],
+                           axes=([len(done) + i for i in closing], [1 + g.leg(v, bonds[i][0]) for i in closing]))
+        bonds = [b for b in bonds if b[1] != v]
+        acc = np.moveaxis(acc, len(done) + len(bonds), len(done))
+        bonds += [(v, w) for w in g.neighbors(v) if w not in done]
+        done.append(v)
+    vec = acc.transpose(np.argsort(done)).reshape(-1)
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("state has zero norm")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bp import BpConfig, init_messages, run_bp, site_averaged_observables
+from .bp import BpConfig, _site_averages, init_messages, run_bp
 from .env import Environment
 from .graph import Graph
 from .hamiltonian import Hamiltonian, transverse_field_ising
@@ -45,6 +45,9 @@ __all__ = [
     "variational_prepare",
     "sweep",
 ]
+
+
+_DESCENT_TOLERANCE = 1e-8  # relative energy rise within one descent loop that raises StepSizeError
 
 
 class StepSizeError(RuntimeError):
@@ -78,7 +81,6 @@ class VarConfig:
     init_noise: float = 1e-2
     noise_seed: int = 0
     bp_damping: float = 0.0
-    descent_tolerance: float = 1e-8
 
     def __post_init__(self):
         if min(self.t_var, self.t_bp, self.n_gd) < 1:
@@ -209,7 +211,7 @@ def variational_prepare(g: Graph, h: Hamiltonian, cfg: VarConfig) -> VarTrace:
         for k in range(cfg.n_gd):
             grads = [np.zeros_like(t) for t in state.site_tensors]
             e_val = _energy(env, h, grads)
-            if e_prev is not None and e_val > e_prev + cfg.descent_tolerance * (1.0 + abs(e_prev)):
+            if e_prev is not None and e_val > e_prev + _DESCENT_TOLERANCE * (1.0 + abs(e_prev)):
                 raise StepSizeError(
                     f"fixed-message energy rose from {e_prev:.12g} to {e_val:.12g} "
                     f"at inner step {k}; reduce gamma (currently {cfg.gamma})"
@@ -221,7 +223,7 @@ def variational_prepare(g: Graph, h: Hamiltonian, cfg: VarConfig) -> VarTrace:
             env = Environment(state, msgs)
         trace.energies.append(_energy(env, h))
         if state.phys_dim == 2:
-            obs = site_averaged_observables(state, msgs)
+            obs = _site_averages(env)
             trace.mean_abs_z.append(obs.mean_abs_z)
             trace.mean_x.append(obs.mean_x)
             trace.mean_zz.append(obs.edge_zz)
@@ -269,8 +271,9 @@ def run_sweep_point(
     trace = variational_prepare(g, h, dataclasses.replace(cfg, noise_seed=seed))
     state = trace.final_state
     msgs, diag = run_bp(state, BpConfig(max_steps=100, rdm_tolerance=1e-8), msgs=dict(trace.final_messages))
-    obs = site_averaged_observables(state, msgs)
-    e_val = energy(state, msgs, h)
+    env = Environment(state, msgs)
+    obs = _site_averages(env)
+    e_val = _energy(env, h)
     return SweepPoint(
         hx=hx,
         restart=restart,

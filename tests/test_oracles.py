@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsetn.bp import BpConfig, expectation, rdm, run_bp
-from sparsetn.graph import Graph, build_tree, random_regular
+from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
 from sparsetn.hamiltonian import mixed_field_ising, transverse_field_ising
 from sparsetn.oracles import (
     classical_exact_expectations,
@@ -58,6 +58,40 @@ class TestExactDiagonalize:
         g = build_tree(15, 1)
         with pytest.raises(ValueError):
             exact_diagonalize(transverse_field_ising(g, 1.0))
+
+
+class TestEigenpairTail:
+    """The 13-cycle TFIM goes through the Lanczos solver, the 8-vertex graph through
+    the dense one. The two lowest levels are exactly degenerate at hx = 0 and split
+    by about hx^13 on the cycle otherwise."""
+
+    @pytest.fixture(scope="class", params=[(13, 0.0), (13, 0.05), (8, 0.0)],
+                    ids=["lanczos-0", "lanczos-0.05", "dense-0"])
+    def ground_pair(self, request):
+        n, hx = request.param
+        g = cycle_graph(13) if n == 13 else random_regular(8, 3, seed=1)
+        h = transverse_field_ising(g, hx)
+        return hx, h, exact_diagonalize(h)
+
+    def test_pair_is_orthonormal(self, ground_pair):
+        _, _, ed = ground_pair
+        assert abs(np.vdot(ed.v0, ed.v1)) <= 1e-10
+        assert abs(np.linalg.norm(ed.v0) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(ed.v1) - 1.0) <= 1e-12
+
+    def test_all_up_ground_space_overlap(self, ground_pair):
+        hx, h, ed = ground_pair
+        overlap = ground_space_overlap(product_state(h.graph, [1.0, 0.0]), ed)
+        assert overlap <= 1.0 + 1e-12
+        if hx == 0.0:
+            assert overlap == pytest.approx(1.0, abs=1e-10)
+
+    def test_rerun_is_bit_identical(self, ground_pair):
+        _, h, ed = ground_pair
+        again = exact_diagonalize(h)
+        assert (again.e0, again.e1) == (ed.e0, ed.e1)
+        np.testing.assert_array_equal(again.v0, ed.v0)
+        np.testing.assert_array_equal(again.v1, ed.v1)
 
 
 class TestOverlaps:

@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
+from sparsetn.graph import Graph, build_tree, cycle_graph, grid_graph, random_regular
 from sparsetn.oracles import classical_exact_expectations, statevector_rdm
 from sparsetn.states import (
+    TensorNetworkState,
     generalized_graph_state,
     graph_state,
     load_state,
@@ -250,3 +252,69 @@ class TestStateSerialization:
             product_state(g, [1.0, 0.0]).with_site_tensors(
                 [np.ones((2, 1, 1)), np.ones((2, 1))]
             )
+
+
+def einsum_statevector(state):
+    """Oracle: the whole network as one integer-label einsum, vertex 0 most significant."""
+    g = state.graph
+    bond = {e: g.n + k for k, e in enumerate(g.edges)}
+    operands = []
+    for v in range(g.n):
+        operands += [state.site_tensors[v], [v] + [bond[(min(v, u), max(v, u))] for u in g.neighbors(v)]]
+    vec = np.einsum(*operands, list(range(g.n)), optimize="greedy").reshape(-1)
+    return vec / np.linalg.norm(vec)
+
+
+def mixed_chi_state(g, seed, max_chi=4, phys_dim=2):
+    """Complex Gaussian site tensors with an independent bond dimension on every edge."""
+    rng = np.random.default_rng(seed)
+    chis = {e: int(rng.integers(1, max_chi + 1)) for e in g.edges}
+    tensors = []
+    for v in range(g.n):
+        shape = (phys_dim,) + tuple(chis[(min(v, u), max(v, u))] for u in g.neighbors(v))
+        tensors.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return TensorNetworkState(g, tensors, phys_dim)
+
+
+def traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+CONTRACTION_CASES = {
+    "regular-n6-chi4": lambda: random_state(random_regular(6, 3, seed=0), 4, seed=1),
+    "regular-n8-chi3": lambda: random_state(random_regular(8, 3, seed=2), 3, seed=2),
+    "regular-n10-chi4": lambda: random_state(random_regular(10, 3, seed=1), 4, seed=0),
+    "regular-n10-r4-chi2": lambda: random_state(random_regular(10, 4, seed=3), 2, seed=3),
+    "regular-n12-chi2": lambda: random_state(random_regular(12, 3, seed=0), 2, seed=4),
+    "grid-3x4-chi2": lambda: random_state(grid_graph(3, 4), 2, seed=5),
+    "grid-3x3-chi3": lambda: random_state(grid_graph(3, 3), 3, seed=6),
+    "tree-n10-chi3": lambda: random_state(build_tree(10, 2), 3, seed=7),
+    # vertices 2 and 6 isolated, and a triangle whose labels are not adjacent
+    "isolated-vertices": lambda: mixed_chi_state(Graph(8, [(0, 5), (0, 7), (5, 7), (1, 3), (3, 4)]), seed=8),
+    "mixed-chi-n10": lambda: mixed_chi_state(random_regular(10, 3, seed=4), seed=9),
+    "phys-dim-3": lambda: random_state(random_regular(6, 3, seed=5), 2, seed=10, phys_dim=3),
+    "mixed-chi-phys-dim-3": lambda: mixed_chi_state(cycle_graph(6), seed=11, max_chi=3, phys_dim=3),
+}
+
+
+class TestFrontierContraction:
+    @pytest.mark.parametrize("name", sorted(CONTRACTION_CASES))
+    def test_matches_einsum_contraction(self, name):
+        state = CONTRACTION_CASES[name]()
+        v = to_statevector(state)
+        assert v.shape == (state.phys_dim**state.graph.n,)
+        np.testing.assert_allclose(v, einsum_statevector(state), rtol=0, atol=1e-12)
+
+    def test_vertex_labels_do_not_set_memory_n10(self):
+        # vertex order made this contraction's peak about 1 GB
+        state = random_state(random_regular(10, 3, seed=1), 4, seed=0)
+        assert traced_peak_mb(to_statevector, state) < 64
+
+    def test_chi4_n14_fits(self):
+        state = random_state(random_regular(14, 3, seed=0), 4, seed=0)
+        assert traced_peak_mb(to_statevector, state) < 256
