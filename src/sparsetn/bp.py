@@ -25,7 +25,7 @@ from itertools import islice
 
 import numpy as np
 
-from .env import Environment, site_gate, unit_trace
+from .env import RDM_ERROR, Environment, site_gate, unit_trace
 from .states import TensorNetworkState
 from .tensor import PAULI_X, PAULI_Y, PAULI_Z, tensor_from_json, tensor_to_json
 
@@ -167,30 +167,29 @@ def rdm(state: TensorNetworkState, msgs: dict, sites) -> Rdm:
         operands += [site_gate(state.site_tensors[s], in_msgs, [g.leg(s, u) for u in inner]), labels]
     d = state.phys_dim
     mat = np.einsum(*operands, list(range(2 * k))).reshape(d**k, d**k)
-    return Rdm(sites=sites, matrix=unit_trace(mat, "reduced density matrix on {} has non-positive trace {tr}", sites))
+    return Rdm(sites=sites, matrix=unit_trace(mat[None], [(sites,)], RDM_ERROR)[0])
 
 
 def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0):
     """Synchronous steps from ``msgs``, without end.
 
-    Yields ``(messages, rdm_delta, message_delta)`` after every step: the new
-    message set, the largest trace distance between a two-site RDM on an edge
-    before and after the step, and the largest Frobenius change of a message.
-    Each message set's gates are contracted once and give both its edge RDMs
-    and the next messages.
+    Yields ``(env, rdm_delta, message_delta)`` after every step: the
+    ``Environment`` of the new message set, the largest trace distance between
+    a two-site RDM on an edge before and after the step, and the largest
+    Frobenius change of a message. Each message set's gates are contracted
+    once and give both its edge RDMs and the next messages.
     """
     edges = state.graph.edges
     env = Environment(state, msgs)
-    prev = [env.rdm(e) for e in edges]
+    prev = env.edge_rdms()
     while True:
-        new_msgs = env.messages(damping)
-        msg_delta = max((float(np.linalg.norm(new - msgs[key])) for key, new in new_msgs.items()), default=0.0)
-        msgs = new_msgs
-        env = Environment(state, msgs)
-        cur = [env.rdm(e) for e in edges]
+        new = env.step(damping)
+        msg_delta = float(np.linalg.norm(new.msg_stack - env.msg_stack, axis=(1, 2)).max(initial=0.0))
+        env = new
+        cur = env.edge_rdms()
         rdm_delta = _trace_distance(prev, cur) if edges else 0.0
         prev = cur
-        yield msgs, rdm_delta, msg_delta
+        yield env, rdm_delta, msg_delta
 
 
 def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: dict | None = None):
@@ -203,14 +202,14 @@ def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: dict | 
     if msgs is None:
         msgs = init_messages(state, cfg.init, cfg.init_seed)
     diag = BpDiagnostics(steps_run=0, converged=False)
-    for msgs, rdm_delta, msg_delta in islice(bp_iterate(state, msgs, cfg.damping), cfg.max_steps):
+    for env, rdm_delta, msg_delta in islice(bp_iterate(state, msgs, cfg.damping), cfg.max_steps):
         diag.steps_run += 1
         diag.rdm_deltas.append(rdm_delta)
         diag.message_deltas.append(msg_delta)
         if rdm_delta <= cfg.rdm_tolerance:
             diag.converged = True
             break
-    diag.final_messages = msgs
+    msgs = diag.final_messages = env.msgs
     return msgs, diag
 
 
@@ -223,27 +222,36 @@ def _trace_distance(m1, m2) -> float:
 def expectation(rho: Rdm, op) -> float:
     """Re tr(rho op) for a Hermitian operator of matching dimension."""
     op = np.asarray(op, dtype=complex)
-    mat = rho.matrix
-    if op.shape != mat.shape:
-        raise ValueError(f"operator shape {op.shape} does not match rdm shape {mat.shape}")
-    val = complex(np.trace(mat @ op))
-    if abs(val.imag) > 1e-8:
-        raise ValueError(f"expectation value has imaginary part {val.imag:.3e}")
-    return val.real
+    if op.shape != rho.matrix.shape:
+        raise ValueError(f"operator shape {op.shape} does not match rdm shape {rho.matrix.shape}")
+    return float(_expectations(rho.matrix[None], op)[0])
+
+
+def _expectations(mats, op):
+    """Re tr(rho op) for each matrix of a stack; the first value with an imaginary part over 1e-8 raises."""
+    vals = np.trace(mats @ op, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.abs(vals.imag) > 1e-8)
+    if bad.size:
+        raise ValueError(f"expectation value has imaginary part {vals[bad[0]].imag:.3e}")
+    return vals.real
 
 
 def entanglement_entropy(rho: Rdm) -> float:
     """Von Neumann entropy (natural log) with small negative eigenvalues clamped."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    worst = -float(np.min(w)) if w.size else 0.0
-    if worst > 1e-6:
-        warnings.warn(f"clamping rdm eigenvalue of magnitude {worst:.3e} to zero", stacklevel=2)
+    return float(_entropies(rho.matrix[None])[0])
+
+
+def _entropies(mats):
+    """``entanglement_entropy`` of each matrix of a stack, warning once per clamped matrix."""
+    w = np.linalg.eigvalsh(mats)
+    for worst in -w.min(axis=-1):
+        if worst > 1e-6:
+            warnings.warn(f"clamping rdm eigenvalue of magnitude {worst:.3e} to zero", stacklevel=3)
     w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if total > 0:
-        w = w / total
-    w = w[w > 1e-12]
-    return float(-np.sum(w * np.log(w)))
+    total = w.sum(axis=-1, keepdims=True)
+    w = w / np.where(total > 0, total, 1.0)
+    w = np.where(w > 1e-12, w, 1.0)  # dropped: 1 log 1 adds an exact zero
+    return -(w * np.log(w)).sum(axis=-1)
 
 
 def rdm_trace_distance(r1: Rdm, r2: Rdm) -> float:
@@ -262,18 +270,17 @@ def site_averaged_observables(state: TensorNetworkState, msgs: dict) -> SiteAver
 
 def _site_averages(env: Environment) -> SiteAverages:
     """``site_averaged_observables`` from an environment the caller already holds."""
-    if env.state.phys_dim != 2:
+    if env.lay.phys_dim != 2:
         raise ValueError("site_averaged_observables requires qubits (d = 2)")
-    g = env.state.graph
-    site_rdms = [Rdm(sites=(a,), matrix=env.rdm((a,))) for a in range(g.n)]
-    edge_rdms = [Rdm(sites=e, matrix=env.rdm(e)) for e in g.edges]
+    site_rdms = env.site_rdms()
+    edge_rdms = env.edge_rdms()
     zz = np.kron(PAULI_Z, PAULI_Z)
     return SiteAverages(
-        mean_abs_z=float(np.mean([abs(expectation(rho, PAULI_Z)) for rho in site_rdms])),
-        mean_x=float(np.mean([expectation(rho, PAULI_X) for rho in site_rdms])),
-        mean_y=float(np.mean([expectation(rho, PAULI_Y) for rho in site_rdms])),
-        edge_entropy=float(np.mean([entanglement_entropy(rho) for rho in edge_rdms])) if edge_rdms else 0.0,
-        edge_zz=float(np.mean([expectation(rho, zz) for rho in edge_rdms])) if edge_rdms else 0.0,
+        mean_abs_z=float(np.mean(np.abs(_expectations(site_rdms, PAULI_Z)))),
+        mean_x=float(np.mean(_expectations(site_rdms, PAULI_X))),
+        mean_y=float(np.mean(_expectations(site_rdms, PAULI_Y))),
+        edge_entropy=float(np.mean(_entropies(edge_rdms))) if len(edge_rdms) else 0.0,
+        edge_zz=float(np.mean(_expectations(edge_rdms, zz))) if len(edge_rdms) else 0.0,
     )
 
 

@@ -132,8 +132,8 @@ def cmd_graphstate_check(args) -> int:
     state = states.graph_state(g)
     msgs = bp.init_messages(state, args.init, args.seed)
     rows = []
-    for step, (msgs, delta, _) in zip(range(1, args.steps + 1), bp.bp_iterate(state, msgs, args.damping)):
-        obs = bp.site_averaged_observables(state, msgs)
+    for step, (env, delta, _) in zip(range(1, args.steps + 1), bp.bp_iterate(state, msgs, args.damping)):
+        obs = bp._site_averages(env)
         rows.append((step, obs.mean_abs_z, obs.mean_x, obs.mean_y, obs.edge_entropy, obs.edge_zz, delta))
     _write_csv(os.path.join(args.out_dir, "graphstate_check.csv"),
                ["step", "mean_abs_z", "mean_x", "mean_y", "edge_entropy", "edge_zz", "max_rdm_trace_distance"],
@@ -169,9 +169,9 @@ def cmd_sqrt_sweep(args) -> int:
                int(diag.converged), diag.steps_run]
         if exact:
             ex = oracles.classical_exact_expectations(g, beta, args.j)
-            rhos = [bp.Rdm(sites=(a,), matrix=env.rdm((a,))) for a in range(g.n)]
-            bp_z = np.array([bp.expectation(rho, PAULI_Z) for rho in rhos])
-            bp_x = np.array([bp.expectation(rho, PAULI_X) for rho in rhos])
+            rhos = env.site_rdms()
+            bp_z = bp._expectations(rhos, PAULI_Z)
+            bp_x = bp._expectations(rhos, PAULI_X)
             max_dev_z = float(np.max(np.abs(bp_z - ex.z)))
             max_dev_x = float(np.max(np.abs(bp_x - ex.x)))
             row += [float(np.mean(np.abs(ex.z))), float(np.mean(ex.x)), max_dev_z, max_dev_x]

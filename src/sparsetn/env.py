@@ -9,12 +9,16 @@ message ``i -> j`` is its physical trace. The one-site block is the gate with
 no open leg; the two-site block on (a, b) is gate(a -> b) times gate(b -> a)
 over the shared bond. A term's value is tr(block h) / tr(block), and its
 gradient at fixed messages is the ket layer applied to (h - e) / tr(block).
-An ``Environment`` builds each ket layer and gate once, on first use.
+
+All of it is batched. Bonds are zero-padded to the largest bond dimension,
+which changes no contraction, and the site tensors of each vertex degree are
+stacked into one ``(G, d, chi, ..., chi)`` array; messages and gates are
+arrays indexed by directed edge. Each stack is built once, on first use.
 """
 
 from __future__ import annotations
 
-import math
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,127 +26,264 @@ from .states import TensorNetworkState
 
 __all__ = ["Environment", "site_gate", "unit_trace"]
 
+RDM_ERROR = "reduced density matrix on {} has non-positive trace {tr}"
 
-def unit_trace(mat, error: str, *args):
-    """Hermitize a square matrix and scale it to unit trace.
+
+def unit_trace(mats, labels, error: str):
+    """Hermitize a stack of square matrices and scale each to unit trace.
 
     A non-finite or non-positive trace raises ``RuntimeError`` with
-    ``error.format(*args, tr=trace)``.
+    ``error.format(*labels[i], tr=trace)`` for the smallest such label.
     """
-    mat = 0.5 * (mat + mat.conj().T)
-    tr = mat.trace().real
-    if not math.isfinite(tr) or tr <= 0.0:
-        raise RuntimeError(error.format(*args, tr=tr))
-    return mat / tr
+    mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    ok = np.isfinite(tr) & (tr > 0.0)
+    if not ok.all():
+        i = min(np.flatnonzero(~ok), key=labels.__getitem__)
+        raise RuntimeError(error.format(*labels[i], tr=tr[i]))
+    return mats / tr[:, None, None]
 
 
-def _dress(t, in_msgs, open_legs=()):
-    """Ket layer of site tensor ``t``: ``in_msgs[l]`` absorbed on every leg ``l`` not open."""
-    for l, m in enumerate(in_msgs):
-        if l not in open_legs:
-            t = (t.swapaxes(1 + l, -1) @ m).swapaxes(1 + l, -1)
+def _pad(arrays, shape):
+    """The arrays zero-padded to ``shape`` and stacked."""
+    out = np.zeros((len(arrays),) + shape, dtype=complex)
+    for i, a in enumerate(arrays):
+        out[(i,) + tuple(map(slice, np.shape(a)))] = a
+    return out
+
+
+def _dress(t, msgs, legs):
+    """Absorb the stacked messages ``msgs[l]`` on leg ``l`` of every tensor of the stack ``t``, for ``l`` in ``legs``."""
+    for l in legs:
+        m = msgs[l].reshape((len(t),) + (1,) * (t.ndim - 3) + msgs[l].shape[1:])
+        t = (t.swapaxes(2 + l, -1) @ m).swapaxes(2 + l, -1)
     return t
 
 
+def _close(ket, t, open_legs):
+    """Contract each ket layer of a stack with the conjugate of ``t`` over every leg not in ``open_legs``."""
+    k, r = len(open_legs), t.ndim - 2
+    axes = [0, 1] + [2 + l for l in range(r) if l not in open_legs] + [2 + l for l in open_legs]
+    ket = ket.transpose(axes)
+    bra = t.conj().transpose(axes)
+    n, d = t.shape[:2]
+    opened = ket.shape[ket.ndim - k:] if k else ()
+    o = int(np.prod(opened))
+    gate = np.einsum("gpcx,gqcy->gpqxy", ket.reshape(n, d, -1, o), bra.reshape(n, d, -1, o))
+    perm = [0, 1, 2] + [ax for l in range(k) for ax in (3 + l, 3 + k + l)]
+    return gate.reshape((n, d, d) + opened + opened).transpose(perm)
+
+
 def site_gate(t, in_msgs, open_legs=()):
-    """Site tensor times its conjugate, dressed on every leg but ``open_legs``.
+    """Site tensor times its conjugate, dressed with ``in_msgs[l]`` on every leg ``l`` not in ``open_legs``.
 
     Axes of the result: ket phys, bra phys, then a (ket, bra) bond pair per
     open leg, in the order given.
     """
-    return _close(_dress(t, in_msgs, open_legs), t, open_legs)
+    msgs = [None if m is None else m[None] for m in in_msgs]
+    closed = [l for l in range(len(in_msgs)) if l not in open_legs]
+    return _close(_dress(t[None], msgs, closed), t[None], tuple(open_legs))[0]
 
 
-def _close(ket, t, open_legs):
-    """Contract a ket layer with the conjugate of ``t`` over every leg not in ``open_legs``."""
-    k = len(open_legs)
-    axes = [0] + [1 + l for l in range(t.ndim - 1) if l not in open_legs] + [1 + l for l in open_legs]
-    ket = ket.transpose(axes)
-    bra = t.conj().transpose(axes)
-    d = t.shape[0]
-    opened = ket.shape[ket.ndim - k:] if k else ()
-    o = math.prod(opened)
-    gate = np.einsum("pcx,qcy->pqxy", ket.reshape(d, -1, o), bra.reshape(d, -1, o))
-    perm = [0, 1] + [ax for l in range(k) for ax in (2 + l, 2 + k + l)]
-    return gate.reshape((d, d) + opened + opened).transpose(perm)
+def _apply(ket, l, env):
+    """Contract each ket layer of a stack, open on leg ``l``, with env (ket phys, ket bond, bra phys, bra bond)."""
+    legs = list(range(3, ket.ndim + 1))
+    out = [0, 2] + [ket.ndim + 1 if k == 3 + l else k for k in legs]
+    return np.einsum(ket, [0, 1] + legs, env, [0, 1, 3 + l, 2, ket.ndim + 1], out)
+
+
+class _Layout:
+    """Vertex groups and padding of one graph and one set of site-tensor shapes."""
+
+    def __init__(self, graph, shapes):
+        de = graph.directed_edges
+        self.graph, self.shapes, self.phys_dim = graph, shapes, shapes[0][0]
+        self.chis = [shapes[a][1 + graph.leg(a, b)] for a, b in de]
+        self.chi = max(self.chis, default=1)
+        self.order = sorted(range(len(de)), key=de.__getitem__)
+        by_degree = {}
+        for v in range(graph.n):
+            by_degree.setdefault(graph.degree(v), []).append(v)
+        # per group: its vertices, and per leg the directed-edge ids of the incoming messages
+        self.groups = [(np.array(vs), [np.array([graph.directed_edge_index(graph.neighbors(v)[l], v) for v in vs])
+                                       for l in range(r)]) for r, vs in by_degree.items()]
+        self.group_of, self.index_of = np.zeros(graph.n, dtype=int), np.zeros(graph.n, dtype=int)
+        for gi, (vs, _) in enumerate(self.groups):
+            self.group_of[vs], self.index_of[vs] = gi, np.arange(len(vs))
+
+    def stack(self, tensors):
+        """Per group, the zero-padded site tensors stacked."""
+        return [_pad([tensors[v] for v in vs], (self.phys_dim,) + (self.chi,) * len(inc)) for vs, inc in self.groups]
+
+    def unstack(self, stacks) -> list:
+        """Per-vertex tensors, in vertex order and at their own bond dimensions, of per-group stacks."""
+        return [stacks[gi][(i,) + tuple(map(slice, s))] for gi, i, s in zip(self.group_of, self.index_of, self.shapes)]
+
+    def terms(self, h):
+        """Edge terms in edge order, vertex terms per site (zero where none), and which terms exist."""
+        g, d, m = self.graph, self.phys_dim, len(self.graph.edges)
+        edge_ops = np.array([h.edge_terms[e] for e in g.edges], dtype=complex).reshape(m, d * d, d * d)
+        vert_ops, present = np.zeros((g.n, d, d), dtype=complex), np.arange(m + g.n) < m
+        for a, op in h.vertex_terms.items():
+            vert_ops[a], present[m + a] = op, True
+        return edge_ops, vert_ops, present
+
+
+@lru_cache(maxsize=16)
+def _layout(graph, shapes) -> _Layout:
+    return _Layout(graph, shapes)
 
 
 class Environment:
-    """Ket layers, gates and the quantities derived from them for one (state, messages) pair."""
+    """Ket layers, gates and the quantities derived from them for one (state, messages) pair.
+
+    ``step`` and ``with_stacks`` derive the next environment from the stacks.
+    """
 
     def __init__(self, state: TensorNetworkState, msgs: dict):
-        self.state = state
-        self.msgs = msgs
-        self._kets = {}
-        self._gates = {}
+        lay = _layout(state.graph, tuple(t.shape for t in state.site_tensors))
+        msg_stack = _pad([msgs[e] for e in lay.graph.directed_edges], (lay.chi, lay.chi))
+        self.lay, self.stacks, self.msg_stack = lay, lay.stack(state.site_tensors), msg_stack
+        self.state, self.msgs = state, msgs
+
+    @cached_property
+    def state(self) -> TensorNetworkState:
+        return TensorNetworkState(self.lay.graph, self.lay.unstack(self.stacks), self.lay.phys_dim)
+
+    @cached_property
+    def msgs(self) -> dict:
+        de, chis = self.lay.graph.directed_edges, self.lay.chis
+        return {de[k]: self.msg_stack[k, :chis[k], :chis[k]] for k in self.lay.order}
+
+    @cached_property
+    def _kets(self):
+        """Per group, the stacked ket layers open on each leg ``l``, then the one dressed on every leg."""
+        kets = []
+        for (_, inc), s in zip(self.lay.groups, self.stacks):
+            msgs = [self.msg_stack[ids] for ids in inc]
+            open_l = [_dress(s, msgs, [k for k in range(len(inc)) if k != l]) for l in range(len(inc))]
+            kets.append(open_l + [_dress(open_l[0], msgs, [0]) if inc else s])
+        return kets
+
+    @cached_property
+    def _gates(self):
+        """(2m, d, d, chi, chi) gates, indexed by directed edge."""
+        d, chi = self.lay.phys_dim, self.lay.chi
+        gates = np.empty((len(self.msg_stack), d, d, chi, chi), dtype=complex)
+        for (_, inc), s, kets in zip(self.lay.groups, self.stacks, self._kets):
+            for l, ids in enumerate(inc):
+                gates[ids ^ 1] = _close(kets[l], s, (l,))
+        return gates
+
+    @cached_property
+    def site_blocks(self):
+        """(n, d, d) one-site blocks in vertex order."""
+        d = self.lay.phys_dim
+        blocks = np.empty((self.lay.graph.n, d, d), dtype=complex)
+        for (vs, _), kets, s in zip(self.lay.groups, self._kets, self.stacks):
+            blocks[vs] = _close(kets[-1], s, ())
+        return blocks
+
+    @cached_property
+    def edge_blocks(self):
+        """(m, d^2, d^2) two-site blocks in edge order, the smaller vertex most significant."""
+        d, m = self.lay.phys_dim, len(self.lay.graph.edges)
+        pair = self._gates.reshape((m, 2) + self._gates.shape[1:])
+        return np.einsum("epqxy,ersxy->eprqs", pair[:, 0], pair[:, 1]).reshape(m, d * d, d * d)
+
+    def step(self, damping: float = 0.0) -> "Environment":
+        """The environment of the same site tensors under the next synchronous message set."""
+        raw = np.trace(self._gates, axis1=1, axis2=2)
+        new = unit_trace(raw, self.lay.graph.directed_edges, "message {}->{} lost positivity (trace={tr})")
+        return _environment(self.lay, self.stacks, (1.0 - damping) * new + damping * self.msg_stack if damping else new)
+
+    def messages(self, damping: float = 0.0) -> dict:
+        """The next synchronous message set as a dict, optionally mixed with the current one."""
+        return self.step(damping).msgs
+
+    def with_stacks(self, stacks) -> "Environment":
+        """New site-tensor stacks under the same messages; a bad tensor raises the ``TensorNetworkState`` error."""
+        if not all(np.isfinite(s).all() and s.reshape(len(s), -1).any(axis=1).all() for s in stacks):
+            TensorNetworkState(self.lay.graph, self.lay.unstack(stacks), self.lay.phys_dim)
+        return _environment(self.lay, stacks, self.msg_stack)
+
+    def site_rdms(self):
+        """(n, d, d) Hermitian unit-trace one-site density matrices in vertex order."""
+        return unit_trace(self.site_blocks, [((a,),) for a in range(self.lay.graph.n)], RDM_ERROR)
+
+    def edge_rdms(self):
+        """(m, d^2, d^2) Hermitian unit-trace edge density matrices in edge order."""
+        return unit_trace(self.edge_blocks, [(e,) for e in self.lay.graph.edges], RDM_ERROR)
 
     def ket(self, i, j=None):
         """Ket layer of site ``i`` open towards neighbor ``j``, or closed on every leg."""
-        key = (i, j)
-        ket = self._kets.get(key)
-        if ket is None:
-            g = self.state.graph
-            nbrs = g.neighbors(i)
-            if j is None and nbrs:
-                # close the last open leg of an already dressed layer
-                first = nbrs[0]
-                ket = _dress(self.ket(i, first), [self.msgs[(first, i)]])
-            else:
-                open_legs = () if j is None else (g.leg(i, j),)
-                ket = _dress(self.state.site_tensors[i], [self.msgs[(k, i)] for k in nbrs], open_legs)
-            self._kets[key] = ket
-        return ket
+        lay = self.lay
+        if not lay.graph.degree(i):
+            return self.state.site_tensors[i]
+        gi = lay.group_of[i]
+        ket = self._kets[gi][-1 if j is None else lay.graph.leg(i, j)]
+        return ket[(lay.index_of[i],) + tuple(map(slice, lay.shapes[i]))]
+
+    @cached_property
+    def _gate_views(self):
+        return [gate[..., :chi, :chi] for gate, chi in zip(self._gates, self.lay.chis)]
 
     def gate(self, i, j):
         """(d, d, chi, chi) gate of the directed edge ``i -> j``."""
-        gate = self._gates.get((i, j))
-        if gate is None:
-            gate = _close(self.ket(i, j), self.state.site_tensors[i], (self.state.graph.leg(i, j),))
-            self._gates[(i, j)] = gate
-        return gate
-
-    def messages(self, damping: float = 0.0) -> dict:
-        """The next synchronous message set, optionally mixed with the current one."""
-        g = self.state.graph
-        new_msgs = {}
-        for i in range(g.n):
-            for j in g.neighbors(i):
-                raw = self.gate(i, j).trace(axis1=0, axis2=1)
-                new = unit_trace(raw, "message {}->{} lost positivity (trace={tr})", i, j)
-                if damping:
-                    new = (1.0 - damping) * new + damping * self.msgs[(i, j)]
-                new_msgs[(i, j)] = new
-        return new_msgs
+        return self._gate_views[self.lay.graph.directed_edge_index(i, j)]
 
     def block(self, sites):
         """Unnormalized density matrix on one site or an edge, first site most significant, rows ket."""
         if len(sites) == 1:
-            return _close(self.ket(sites[0]), self.state.site_tensors[sites[0]], ())
+            return self.site_blocks[sites[0]]
         a, b = sites
-        d = self.state.phys_dim
-        return np.einsum("pqxy,rsxy->prqs", self.gate(a, b), self.gate(b, a)).reshape(d * d, d * d)
+        block = self.edge_blocks[self.lay.graph.directed_edge_index(a, b) >> 1]
+        d = self.lay.phys_dim
+        return block if a < b else block.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
     def rdm(self, sites):
         """Hermitian unit-trace density matrix on one site or an edge."""
-        return unit_trace(self.block(sites), "reduced density matrix on {} has non-positive trace {tr}", sites)
+        return unit_trace(self.block(sites)[None], [(tuple(sites),)], RDM_ERROR)[0]
 
-    def gradients(self, sites, op):
-        """Derivatives of tr(block(sites) op) with respect to each site's conjugated tensor."""
-        d = self.state.phys_dim
-        if len(sites) == 1:
-            ket = self.ket(sites[0])
-            return [(op @ ket.reshape(d, -1)).reshape(ket.shape)]
-        a, b = sites
-        op4 = op.reshape(d, d, d, d)  # (bra a, bra b, ket a, ket b)
-        # the other site's gate closed with op, as (ket, ket bond, bra, bra bond) of this site
-        env_a = np.einsum("uvxy,qvpu->pxqy", self.gate(b, a), op4)
-        env_b = np.einsum("uvxy,vqup->pxqy", self.gate(a, b), op4)
-        return [self._apply(a, b, env_a), self._apply(b, a, env_b)]
+    def energy(self, terms, gradient: bool = False):
+        """Sum of normalized term values, edges first, and with ``gradient`` its per-group gradient stacks.
 
-    def _apply(self, i, j, env):
-        """Ket layer of ``i`` open towards ``j`` contracted with env (ket, ket bond, bra, bra bond)."""
-        ket = self.ket(i, j)
-        labels = list(range(2, ket.ndim + 1))
-        bond = labels[self.state.graph.leg(i, j)]
-        out = [1] + [ket.ndim + 1 if lab == bond else lab for lab in labels]
-        return np.einsum(ket, [0] + labels, env, [0, bond, 1, ket.ndim + 1], out)
+        ``terms`` comes from ``lay.terms``. The gradient is with respect to the conjugated
+        site tensors at fixed messages: each term adds the ket layer applied to (h - e) / tr(block).
+        """
+        edge_ops, vert_ops, present = terms
+        g, d = self.lay.graph, self.lay.phys_dim
+        m = len(g.edges)
+        edge, site = self.edge_blocks, self.site_blocks
+        norms = np.concatenate([np.trace(edge, axis1=1, axis2=2).real, np.trace(site, axis1=1, axis2=2).real])
+        bad = np.flatnonzero(present & (norms <= 0))
+        if bad.size:
+            i = bad[0]
+            raise RuntimeError(f"{f'edge {g.edges[i]}' if i < m else f'site {i - m}'}: vanishing local norm")
+        norms[~present] = 1.0
+        values = np.concatenate([np.einsum("kij,kji->k", edge, edge_ops).real,
+                                 np.einsum("kij,kji->k", site, vert_ops).real]) / norms
+        total = sum(values.tolist(), 0.0)
+        if not gradient:
+            return total, None
+        op4 = ((edge_ops - values[:m, None, None] * np.eye(d * d)) / norms[:m, None, None]).reshape(m, d, d, d, d)
+        vert_ops = (vert_ops - values[m:, None, None] * np.eye(d)) / norms[m:, None, None]
+        # per directed edge i -> j: the term as (bra i, bra j, ket i, ket j), then the environment of site i
+        ops = np.stack([op4, op4.transpose(0, 2, 1, 4, 3)], axis=1).reshape((2 * m,) + op4.shape[1:])
+        envs = np.einsum("kuvxy,kqvpu->kpxqy", self._gates[np.arange(2 * m) ^ 1], ops)
+        grads = []
+        for (vs, inc), kets in zip(self.lay.groups, self._kets):
+            full = kets[-1]
+            grad = np.zeros_like(full)
+            for l, ids in enumerate(inc):
+                grad += _apply(kets[l], l, envs[ids ^ 1])
+            grad += (vert_ops[vs] @ full.reshape(len(vs), d, -1)).reshape(full.shape)
+            grads.append(grad)
+        return total, grads
+
+
+def _environment(lay, stacks, msg_stack) -> Environment:
+    """An ``Environment`` of stacked site tensors and messages in the layout ``lay``."""
+    env = Environment.__new__(Environment)
+    env.lay, env.stacks, env.msg_stack = lay, stacks, msg_stack
+    return env

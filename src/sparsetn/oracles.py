@@ -123,8 +123,8 @@ def hamiltonian_matrix(h: Hamiltonian) -> sp.csr_matrix:
 def exact_diagonalize(h: Hamiltonian) -> EdResult:
     """Two lowest eigenpairs of the full Hamiltonian matrix (n <= 14).
 
-    Dense Hermitian eigendecomposition up to n = 12; a Lanczos solve from a
-    fixed start vector at n = 13, 14. Either pair is orthonormalized (Lanczos
+    Dense Hermitian eigendecomposition up to n = 8; a Lanczos solve from a
+    fixed start vector at n = 9-14. Either pair is orthonormalized (Lanczos
     can return a non-orthogonal pair inside a near-degenerate level) and its
     residuals are verified to 1e-9.
     """
@@ -132,7 +132,7 @@ def exact_diagonalize(h: Hamiltonian) -> EdResult:
     if n > 14:
         raise ValueError("exact_diagonalize supports n <= 14")
     mat = hamiltonian_matrix(h)
-    if n <= 12:
+    if n <= 8:
         w, v = np.linalg.eigh(mat.toarray())
     else:
         start = np.random.default_rng(0).standard_normal(1 << n)
@@ -197,8 +197,12 @@ def classical_ising_mc(
         raise ValueError("need at least one measurement sweep per batch")
     rng = np.random.default_rng(seed)
     n = g.n
-    nbrs = [np.array(g.neighbors(v), dtype=np.int64) for v in range(n)]
-    spins = np.ones(n)
+    nbrs = g.adjacency
+    spins = [1.0] * n
+    # exp(-beta * delta) for every value delta = 2 j s_a sum(s_nbrs) can take, computed as the flip loop does
+    r = max(map(len, nbrs))
+    deltas = [2.0 * j * sa * float(h) for sa in (1.0, -1.0) for h in range(-r, r + 1)]
+    accept = dict(zip(deltas, np.exp(-beta * np.array(deltas)).tolist()))
     edges = g.edges
     ea = np.array([a for a, _ in edges], dtype=np.int64)
     eb = np.array([b for _, b in edges], dtype=np.int64)
@@ -211,23 +215,22 @@ def classical_ising_mc(
     last_sign = 1.0
 
     for sweep in range(sweeps):
-        sites = rng.integers(0, n, size=n)
-        us = rng.random(size=n)
-        for a, u in zip(sites, us):
-            delta = 2.0 * j * spins[a] * spins[nbrs[a]].sum()
-            if delta <= 0.0 or u < np.exp(-beta * delta):
+        for a, u in zip(rng.integers(0, n, size=n).tolist(), rng.random(size=n).tolist()):
+            delta = 2.0 * j * spins[a] * sum([spins[k] for k in nbrs[a]])
+            if delta <= 0.0 or u < accept[delta]:
                 spins[a] = -spins[a]
         m = sweep - burn_in
         if m >= 0:
-            sign = np.sign(spins.sum())
+            spins_arr = np.array(spins)
+            sign = np.sign(spins_arr.sum())
             if sign != 0.0 and sign != last_sign:
                 flips += 1
                 last_sign = sign
             b = m * batches // n_meas
-            site_batch[b] += spins
-            signed_batch[b] += spins * (sign if sign != 0.0 else last_sign)
+            site_batch[b] += spins_arr
+            signed_batch[b] += spins_arr * (sign if sign != 0.0 else last_sign)
             if len(edges):
-                edge_batch[b] += spins[ea] * spins[eb]
+                edge_batch[b] += spins_arr[ea] * spins_arr[eb]
             batch_counts[b] += 1
 
     def _stats(batch):

@@ -117,41 +117,18 @@ class SweepPoint:
     bp_converged: bool
 
 
-def _energy(env: Environment, h: Hamiltonian, grads=None) -> float:
-    """Sum of normalized term values under one environment.
-
-    When ``grads`` is given, each term's fixed-message gradient is added to it
-    in place: the environment of the site applied to (h - e) / tr(block).
-    """
-    total = 0.0
-    terms = list(h.edge_terms.items()) + [((a,), hm) for a, hm in h.vertex_terms.items()]
-    for sites, hm in terms:
-        hm = np.asarray(hm, dtype=complex)
-        block = env.block(sites)
-        norm = float(np.trace(block).real)
-        if norm <= 0:
-            where = f"edge {sites}" if len(sites) == 2 else f"site {sites[0]}"
-            raise RuntimeError(f"{where}: vanishing local norm")
-        e = float(np.einsum("ij,ji->", block, hm).real) / norm
-        total += e
-        if grads is not None:
-            for site, grad in zip(sites, env.gradients(sites, (hm - e * np.eye(len(hm))) / norm)):
-                grads[site] += grad
-    return total
-
-
 def energy(state: TensorNetworkState, msgs: dict, h: Hamiltonian) -> float:
     """Sum of normalized local term expectations under the given messages."""
     if h.graph != state.graph:
         raise ValueError("hamiltonian and state live on different graphs")
-    return _energy(Environment(state, msgs), h)
+    env = Environment(state, msgs)
+    return env.energy(env.lay.terms(h))[0]
 
 
 def energy_gradient(state: TensorNetworkState, msgs: dict, h: Hamiltonian):
     """Gradient of the fixed-message energy with respect to conjugated site tensors."""
-    grads = [np.zeros_like(t) for t in state.site_tensors]
-    _energy(Environment(state, msgs), h, grads)
-    return grads
+    env = Environment(state, msgs)
+    return env.lay.unstack(env.energy(env.lay.terms(h), gradient=True)[1])
 
 
 def _build_initial_state(g: Graph, cfg: VarConfig, phys_dim: int = 2) -> TensorNetworkState:
@@ -196,33 +173,30 @@ def variational_prepare(g: Graph, h: Hamiltonian, cfg: VarConfig) -> VarTrace:
 
     Messages warm-start across outer iterations. The per-iteration energy in
     the trace is the fixed-message functional evaluated after the inner loop.
+    Site tensors and messages stay stacked arrays from step to step, and the
+    Hamiltonian's terms are stacked once.
     """
     if h.graph != g:
         raise ValueError("hamiltonian and state live on different graphs")
     state = _build_initial_state(g, cfg, h.phys_dim)
-    msgs = init_messages(state, "identity")
-    env = Environment(state, msgs)
+    env = Environment(state, init_messages(state, "identity"))
+    terms = env.lay.terms(h)
     trace = VarTrace()
     for _ in range(cfg.t_var):
         for _ in range(cfg.t_bp):
-            msgs = env.messages(cfg.bp_damping)
-            env = Environment(state, msgs)
+            env = env.step(cfg.bp_damping)
         e_prev = None
         for k in range(cfg.n_gd):
-            grads = [np.zeros_like(t) for t in state.site_tensors]
-            e_val = _energy(env, h, grads)
+            e_val, grads = env.energy(terms, gradient=True)
             if e_prev is not None and e_val > e_prev + _DESCENT_TOLERANCE * (1.0 + abs(e_prev)):
                 raise StepSizeError(
                     f"fixed-message energy rose from {e_prev:.12g} to {e_val:.12g} "
                     f"at inner step {k}; reduce gamma (currently {cfg.gamma})"
                 )
             e_prev = e_val
-            state = state.with_site_tensors(
-                [t - cfg.gamma * gr for t, gr in zip(state.site_tensors, grads)]
-            )
-            env = Environment(state, msgs)
-        trace.energies.append(_energy(env, h))
-        if state.phys_dim == 2:
+            env = env.with_stacks([t - cfg.gamma * gr for t, gr in zip(env.stacks, grads)])
+        trace.energies.append(env.energy(terms)[0])
+        if env.lay.phys_dim == 2:
             obs = _site_averages(env)
             trace.mean_abs_z.append(obs.mean_abs_z)
             trace.mean_x.append(obs.mean_x)
@@ -231,8 +205,8 @@ def variational_prepare(g: Graph, h: Hamiltonian, cfg: VarConfig) -> VarTrace:
             trace.mean_abs_z.append(float("nan"))
             trace.mean_x.append(float("nan"))
             trace.mean_zz.append(float("nan"))
-    trace.final_state = state
-    trace.final_messages = msgs
+    trace.final_state = env.state
+    trace.final_messages = env.msgs
     return trace
 
 
@@ -273,7 +247,7 @@ def run_sweep_point(
     msgs, diag = run_bp(state, BpConfig(max_steps=100, rdm_tolerance=1e-8), msgs=dict(trace.final_messages))
     env = Environment(state, msgs)
     obs = _site_averages(env)
-    e_val = _energy(env, h)
+    e_val = env.energy(env.lay.terms(h))[0]
     return SweepPoint(
         hx=hx,
         restart=restart,

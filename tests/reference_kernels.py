@@ -190,3 +190,76 @@ def energy_and_gradient(state, msgs, h):
         grads[a] += (env_n * d_val - n_val * env_d) / d_val**2
 
     return total, grads
+
+
+def classical_ising_mc(g, beta, j=1.0, sweeps=6000, burn_in=1000, seed=0, batches=50):
+    """The original Metropolis chain: numpy spins, one ``np.exp`` per proposed uphill flip."""
+    from sparsetn.oracles import McResult
+
+    n_meas = sweeps - burn_in
+    rng = np.random.default_rng(seed)
+    n = g.n
+    nbrs = [np.array(g.neighbors(v), dtype=np.int64) for v in range(n)]
+    spins = np.ones(n)
+    edges = g.edges
+    ea = np.array([a for a, _ in edges], dtype=np.int64)
+    eb = np.array([b for _, b in edges], dtype=np.int64)
+
+    site_batch = np.zeros((batches, n))
+    signed_batch = np.zeros((batches, n))
+    edge_batch = np.zeros((batches, len(edges)))
+    batch_counts = np.zeros(batches, dtype=np.int64)
+    flips = 0
+    last_sign = 1.0
+
+    for sweep in range(sweeps):
+        sites = rng.integers(0, n, size=n)
+        us = rng.random(size=n)
+        for a, u in zip(sites, us):
+            delta = 2.0 * j * spins[a] * spins[nbrs[a]].sum()
+            if delta <= 0.0 or u < np.exp(-beta * delta):
+                spins[a] = -spins[a]
+        m = sweep - burn_in
+        if m >= 0:
+            sign = np.sign(spins.sum())
+            if sign != 0.0 and sign != last_sign:
+                flips += 1
+                last_sign = sign
+            b = m * batches // n_meas
+            site_batch[b] += spins
+            signed_batch[b] += spins * (sign if sign != 0.0 else last_sign)
+            if len(edges):
+                edge_batch[b] += spins[ea] * spins[eb]
+            batch_counts[b] += 1
+
+    def _stats(batch):
+        bm = batch / batch_counts[:, None]
+        means = batch.sum(axis=0) / n_meas
+        errors = bm.std(axis=0, ddof=1) / np.sqrt(batches)
+        return means, errors
+
+    site_means, site_errors = _stats(site_batch)
+    signed_means, signed_errors = _stats(signed_batch)
+    if len(edges):
+        edge_means, edge_errors = _stats(edge_batch)
+    else:
+        edge_means = np.zeros(0)
+        edge_errors = np.zeros(0)
+    return McResult(
+        site_means=site_means,
+        site_errors=site_errors,
+        mean_abs_z=float(np.mean(np.abs(site_means))),
+        mean_abs_z_error=float(np.mean(site_errors)),
+        signed_site_means=signed_means,
+        signed_site_errors=signed_errors,
+        mean_signed_z=float(np.mean(np.abs(signed_means))),
+        mean_signed_z_error=float(np.mean(signed_errors)),
+        sector_flips=flips,
+        edges=edges,
+        edge_correlations=edge_means,
+        edge_errors=edge_errors,
+        sweeps=sweeps,
+        burn_in=burn_in,
+        seed=seed,
+        batches=batches,
+    )

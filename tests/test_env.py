@@ -15,7 +15,7 @@ import pytest
 import reference_kernels as ref
 from sparsetn.bp import bp_iterate, bp_step, init_messages, rdm
 from sparsetn.env import Environment
-from sparsetn.graph import Graph
+from sparsetn.graph import Graph, grid_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian
 from sparsetn.states import TensorNetworkState
 from sparsetn.variational import energy, energy_gradient
@@ -122,3 +122,95 @@ def test_failures_name_the_message_or_sites():
         bp_step(state, dead)
     with pytest.raises(RuntimeError, match=r"^reduced density matrix on \(2, 3\) has non-positive trace 0\.0$"):
         rdm(state, dead, (2, 3))
+
+
+# Groups of many vertices: a random 3-regular graph is one group per bond
+# dimension, a 4x5 grid has three (degrees 2, 3 and 4), and vertex terms sit on
+# every third site only.
+GROUPED = [("regular", 2, 0), ("regular", 3, 1), ("grid", 2, 2)]
+
+
+def grouped_state(kind, chi, seed):
+    rng = np.random.default_rng(seed)
+    g = random_regular(40, 3, seed=seed) if kind == "regular" else grid_graph(4, 5)
+    tensors = []
+    for v in range(g.n):
+        shape = (2,) + (chi,) * g.degree(v)
+        tensors.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    state = TensorNetworkState(g, tensors, 2)
+    h = Hamiltonian(
+        graph=g,
+        edge_terms={e: random_hermitian(rng, 4) for e in g.edges},
+        vertex_terms={a: random_hermitian(rng, 2) for a in range(0, g.n, 3)},
+    )
+    return state, init_messages(state, "random", seed=seed + 100), h
+
+
+@pytest.mark.parametrize("kind,chi,seed", GROUPED)
+def test_grouped_inputs_have_large_groups(kind, chi, seed):
+    state, _, h = grouped_state(kind, chi, seed)
+    shapes = [t.shape for t in state.site_tensors]
+    assert max(shapes.count(s) for s in shapes) >= 6
+    assert len(set(shapes)) == (1 if kind == "regular" else 3)
+    assert 0 < len(h.vertex_terms) < state.graph.n
+
+
+@pytest.mark.parametrize("kind,chi,seed", GROUPED)
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+def test_grouped_messages_match_reference(kind, chi, seed, damping):
+    state, msgs, _ = grouped_state(kind, chi, seed)
+    new = bp_step(state, msgs, damping)
+    old = ref.bp_step(state, msgs, damping)
+    assert list(new) == list(old)
+    for key in old:
+        assert_matches(new[key], old[key])
+
+
+@pytest.mark.parametrize("kind,chi,seed", GROUPED)
+def test_grouped_rdms_match_reference(kind, chi, seed):
+    state, msgs, _ = grouped_state(kind, chi, seed)
+    g = state.graph
+    site_sets = [(a,) for a in range(g.n)] + list(g.edges) + [(b, a) for a, b in g.edges]
+    for sites in site_sets:
+        assert_matches(rdm(state, msgs, sites).matrix, ref.rdm(state, msgs, sites))
+
+
+@pytest.mark.parametrize("kind,chi,seed", GROUPED)
+def test_grouped_energy_and_gradient_match_reference(kind, chi, seed):
+    state, msgs, h = grouped_state(kind, chi, seed)
+    e_ref, g_ref = ref.energy_and_gradient(state, msgs, h)
+    assert abs(energy(state, msgs, h) - e_ref) <= RTOL * abs(e_ref)
+    for new, old in zip(energy_gradient(state, msgs, h), g_ref):
+        assert_matches(new, old)
+
+
+@pytest.mark.parametrize("kind,chi,seed", GROUPED)
+def test_grouped_bp_deltas_match_reference(kind, chi, seed):
+    state, msgs, _ = grouped_state(kind, chi, seed)
+    steps = list(islice(bp_iterate(state, msgs), 4))
+    for (_, rdm_delta, msg_delta), (rdm_old, msg_old) in zip(steps, ref.run_bp_deltas(state, msgs, 4)):
+        assert abs(rdm_delta - rdm_old) <= 1e-12 * max(rdm_old, 1e-3)
+        assert abs(msg_delta - msg_old) <= 1e-12 * max(msg_old, 1e-3)
+
+
+def test_grouped_failures_name_the_first_edge_or_site():
+    state, msgs, h = grouped_state("regular", 2, 0)
+    g = state.graph
+    dead = dict(msgs)
+    for u in g.neighbors(7):
+        dead[(u, 7)] = np.zeros_like(msgs[(u, 7)])
+    first = min(g.neighbors(7))
+    with pytest.raises(RuntimeError, match=rf"^message 7->{first} lost positivity \(trace=0\.0\)$"):
+        bp_step(state, dead)
+    edge = min(e for e in g.edges if 7 in e)
+    with pytest.raises(RuntimeError, match=rf"^edge \({edge[0]}, {edge[1]}\): vanishing local norm$"):
+        energy(state, dead, h)
+    env = Environment(state, msgs)
+    stacks = [s.copy() for s in env.stacks]
+    stacks[0][env.lay.index_of[9]] = 0.0
+    stacks[0][env.lay.index_of[30]] = np.nan
+    with pytest.raises(ValueError, match=r"^site 9: tensor is identically zero$"):
+        env.with_stacks(stacks)
+    stacks[0][env.lay.index_of[4]] = np.inf
+    with pytest.raises(ValueError, match=r"^site 4: non-finite entries$"):
+        env.with_stacks(stacks)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import reference_kernels as ref
+
 from sparsetn.bp import BpConfig, expectation, rdm, run_bp
 from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
 from sparsetn.hamiltonian import mixed_field_ising, transverse_field_ising
@@ -94,6 +96,39 @@ class TestEigenpairTail:
         np.testing.assert_array_equal(again.v1, ed.v1)
 
 
+class TestLanczosRange:
+    """Random 3-regular TFIMs at n = 10 and 12 go through the Lanczos solver. At
+    hx = 0 the two lowest levels are the exactly degenerate all-up/all-down pair."""
+
+    @pytest.fixture(scope="class", params=[(10, 0.0), (10, 1.0), (12, 0.0), (12, 1.0)],
+                    ids=["n10-hx0", "n10-hx1", "n12-hx0", "n12-hx1"])
+    def solved(self, request):
+        n, hx = request.param
+        h = transverse_field_ising(random_regular(n, 3, seed=n), hx)
+        return n, hx, h, exact_diagonalize(h)
+
+    def test_pair_is_orthonormal(self, solved):
+        _, _, _, ed = solved
+        gram = np.array([[np.vdot(a, b) for b in (ed.v0, ed.v1)] for a in (ed.v0, ed.v1)])
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
+
+    def test_zero_field_pair_is_degenerate(self, solved):
+        _, hx, _, ed = solved
+        if hx == 0.0:
+            assert abs(ed.e0 - ed.e1) <= 1e-10
+        else:
+            assert ed.e1 - ed.e0 > 1e-10
+
+
+@pytest.mark.parametrize("hx", [0.0, 1.0])
+def test_lanczos_levels_match_dense(hx):
+    h = transverse_field_ising(random_regular(10, 3, seed=10), hx)
+    ed = exact_diagonalize(h)
+    w = np.linalg.eigvalsh(hamiltonian_matrix(h).toarray())
+    assert abs(ed.e0 - w[0]) <= 1e-10
+    assert abs(ed.e1 - w[1]) <= 1e-10
+
+
 class TestOverlaps:
     def test_fidelity_self_is_one(self):
         g = random_regular(6, 3, seed=3)
@@ -164,6 +199,17 @@ class TestMonteCarlo:
         g = p2()
         with pytest.raises(ValueError):
             classical_ising_mc(g, 0.5, 1.0, sweeps=100, burn_in=100, seed=0)
+
+    @pytest.mark.parametrize("graph,beta,j,seed", [
+        (random_regular(10, 3, seed=4), 0.0, 1.0, 1),
+        (random_regular(12, 3, seed=6), 0.5, 1.0, 2),
+        (Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)]), 0.7, -1.3, 3),
+    ], ids=["beta0", "ferro", "antiferro-isolated"])
+    def test_chain_matches_reference(self, graph, beta, j, seed):
+        new = classical_ising_mc(graph, beta, j, sweeps=3000, burn_in=200, seed=seed, batches=10)
+        old = ref.classical_ising_mc(graph, beta, j, sweeps=3000, burn_in=200, seed=seed, batches=10)
+        for name, value in vars(old).items():
+            np.testing.assert_array_equal(getattr(new, name), value, err_msg=name)
 
 
 class TestExactEnumeration:
