@@ -11,8 +11,11 @@ messages and keeps large graphs free of over/underflow.
 Convergence is judged on two-site reduced density matrices, not on raw
 messages: message entries can settle into a limit cycle while all local
 observables are already stationary, so the message residual is reported as a
-diagnostic only. Messages, one- and two-site RDMs and the convergence check
-all come from the gates of ``sparsetn.env``, built once per message set.
+diagnostic only. Whole-graph quantities (messages, the one-site and edge blocks
+of every site and edge, and the convergence check) come from the batched gates
+of ``sparsetn.env``, built once per message set; ``run_bp`` hands on the
+environment of its final messages. ``rdm`` on k chosen sites contracts only
+those k site tensors and their incoming messages.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class BpDiagnostics:
     converged: bool
     rdm_deltas: list = field(default_factory=list)
     message_deltas: list = field(default_factory=list)
-    final_messages: dict = field(default_factory=dict)
+    env: Environment | None = None
 
 
 @dataclass
@@ -129,7 +132,7 @@ def bp_step(state: TensorNetworkState, msgs: dict, damping: float = 0.0, workers
     ``workers`` is accepted for compatibility and has no effect: updates run
     in one thread, since a thread pool measured no gain at these tensor sizes.
     """
-    return Environment(state, msgs).messages(damping)
+    return Environment(state, msgs).step(damping).msgs
 
 
 def rdm(state: TensorNetworkState, msgs: dict, sites) -> Rdm:
@@ -137,8 +140,9 @@ def rdm(state: TensorNetworkState, msgs: dict, sites) -> Rdm:
 
     Site tensors and their conjugates on ``sites`` are contracted exactly over
     all edges internal to the set; every dangling edge is closed with its
-    incoming message. The result is Hermitized and normalized to unit trace,
-    with the first site as the most significant factor of the product basis.
+    incoming message. Only these k sites are contracted, whatever the size of
+    the graph. The result is Hermitized and normalized to unit trace, with the
+    first site as the most significant factor of the product basis.
     """
     sites = tuple(int(s) for s in sites)
     k = len(sites)
@@ -150,9 +154,7 @@ def rdm(state: TensorNetworkState, msgs: dict, sites) -> Rdm:
     for u, v in zip(sites, sites[1:]):
         if not g.has_edge(u, v):
             raise ValueError("sites must form a connected path in the graph")
-    if k < 3:
-        return Rdm(sites=sites, matrix=Environment(state, msgs).rdm(sites))
-    # three sites may close a triangle, so every edge inside the set is contracted by label
+    # every edge inside the set is contracted by label, since three sites may close a triangle
     inset = set(sites)
     bonds: dict = {}
     operands = []
@@ -195,8 +197,10 @@ def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0):
 def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: dict | None = None):
     """Iterate synchronous BP until two-site RDMs are stationary in trace distance.
 
-    Returns ``(messages, diagnostics)``. Non-convergence within ``max_steps``
-    is reported through the diagnostics, not raised.
+    Returns ``(messages, diagnostics)``; ``diagnostics.env`` is the
+    ``Environment`` of those messages, so callers take their observables and
+    energies from its gates instead of rebuilding them. Non-convergence within
+    ``max_steps`` is reported through the diagnostics, not raised.
     """
     cfg = cfg or BpConfig()
     if msgs is None:
@@ -209,8 +213,8 @@ def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: dict | 
         if rdm_delta <= cfg.rdm_tolerance:
             diag.converged = True
             break
-    msgs = diag.final_messages = env.msgs
-    return msgs, diag
+    diag.env = env
+    return env.msgs, diag
 
 
 def _trace_distance(m1, m2) -> float:

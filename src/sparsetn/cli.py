@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from . import bp, graph, hamiltonian, oracles, states, variational
-from .env import Environment
 from .tensor import PAULI_X, PAULI_Z
 
 _STATE_KINDS = ("graph", "sqrt", "product", "random")
@@ -47,10 +46,6 @@ def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _load_graph_arg(args) -> graph.Graph:
-    return graph.load_graph(args.graph)
 
 
 def _build_state(g: graph.Graph, kind: str, beta: float, j: float, chi: int, seed: int):
@@ -104,13 +99,13 @@ def cmd_graph_gen(args) -> int:
 
 def cmd_bp_run(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    g = _load_graph_arg(args)
+    g = graph.load_graph(args.graph)
     state = _build_state(g, args.state, args.beta, args.j, args.chi, args.seed)
     cfg = bp.BpConfig(max_steps=args.max_steps, rdm_tolerance=args.tol, damping=args.damping,
                       init=args.init, init_seed=args.seed, workers=args.threads)
     msgs, diag = bp.run_bp(state, cfg)
     bp.bp_diagnostics_to_csv(diag, os.path.join(args.out_dir, "bp_diagnostics.csv"))
-    obs = bp.site_averaged_observables(state, msgs)
+    obs = bp._site_averages(diag.env)
     _write_json(os.path.join(args.out_dir, "bp_observables.json"), {
         "converged": diag.converged,
         "steps_run": diag.steps_run,
@@ -128,7 +123,7 @@ def cmd_bp_run(args) -> int:
 
 def cmd_graphstate_check(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    g = _load_graph_arg(args)
+    g = graph.load_graph(args.graph)
     state = states.graph_state(g)
     msgs = bp.init_messages(state, args.init, args.seed)
     rows = []
@@ -144,7 +139,7 @@ def cmd_graphstate_check(args) -> int:
 
 def cmd_sqrt_sweep(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    g = _load_graph_arg(args)
+    g = graph.load_graph(args.graph)
     betas = _grid(args.betas)
     exact = args.exact or (args.exact is None and g.n <= 12)
     if exact and g.n > 16:
@@ -159,8 +154,8 @@ def cmd_sqrt_sweep(args) -> int:
         state = states.square_root_state(g, beta, args.j)
         cfg = bp.BpConfig(max_steps=args.max_steps, rdm_tolerance=args.tol,
                           damping=args.damping, init=args.init, init_seed=args.seed + i)
-        msgs, diag = bp.run_bp(state, cfg)
-        env = Environment(state, msgs)
+        _, diag = bp.run_bp(state, cfg)
+        env = diag.env
         obs = bp._site_averages(env)
         mc = oracles.classical_ising_mc(g, beta, args.j, sweeps=args.mc_sweeps,
                                         burn_in=args.mc_burn_in, seed=args.seed + 1000 + i)
@@ -217,7 +212,7 @@ def _check_oracle(args, g: graph.Graph) -> None:
 
 def cmd_var_prep(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    g = _load_graph_arg(args)
+    g = graph.load_graph(args.graph)
     _check_oracle(args, g)
     if args.model == "mixed_field_ising":
         h = hamiltonian.mixed_field_ising(g, args.jzz, args.hx, args.hz)
@@ -255,7 +250,7 @@ def cmd_var_prep(args) -> int:
 
 def cmd_tfim_sweep(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    g = _load_graph_arg(args)
+    g = graph.load_graph(args.graph)
     _check_oracle(args, g)
     hxs = _grid(args.hx_grid)
     points = variational.sweep(g, hxs, _var_config(args), args.restarts, args.seed, workers=args.threads)

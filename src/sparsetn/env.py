@@ -197,10 +197,6 @@ class Environment:
         new = unit_trace(raw, self.lay.graph.directed_edges, "message {}->{} lost positivity (trace={tr})")
         return _environment(self.lay, self.stacks, (1.0 - damping) * new + damping * self.msg_stack if damping else new)
 
-    def messages(self, damping: float = 0.0) -> dict:
-        """The next synchronous message set as a dict, optionally mixed with the current one."""
-        return self.step(damping).msgs
-
     def with_stacks(self, stacks) -> "Environment":
         """New site-tensor stacks under the same messages; a bad tensor raises the ``TensorNetworkState`` error."""
         if not all(np.isfinite(s).all() and s.reshape(len(s), -1).any(axis=1).all() for s in stacks):
@@ -214,36 +210,6 @@ class Environment:
     def edge_rdms(self):
         """(m, d^2, d^2) Hermitian unit-trace edge density matrices in edge order."""
         return unit_trace(self.edge_blocks, [(e,) for e in self.lay.graph.edges], RDM_ERROR)
-
-    def ket(self, i, j=None):
-        """Ket layer of site ``i`` open towards neighbor ``j``, or closed on every leg."""
-        lay = self.lay
-        if not lay.graph.degree(i):
-            return self.state.site_tensors[i]
-        gi = lay.group_of[i]
-        ket = self._kets[gi][-1 if j is None else lay.graph.leg(i, j)]
-        return ket[(lay.index_of[i],) + tuple(map(slice, lay.shapes[i]))]
-
-    @cached_property
-    def _gate_views(self):
-        return [gate[..., :chi, :chi] for gate, chi in zip(self._gates, self.lay.chis)]
-
-    def gate(self, i, j):
-        """(d, d, chi, chi) gate of the directed edge ``i -> j``."""
-        return self._gate_views[self.lay.graph.directed_edge_index(i, j)]
-
-    def block(self, sites):
-        """Unnormalized density matrix on one site or an edge, first site most significant, rows ket."""
-        if len(sites) == 1:
-            return self.site_blocks[sites[0]]
-        a, b = sites
-        block = self.edge_blocks[self.lay.graph.directed_edge_index(a, b) >> 1]
-        d = self.lay.phys_dim
-        return block if a < b else block.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-
-    def rdm(self, sites):
-        """Hermitian unit-trace density matrix on one site or an edge."""
-        return unit_trace(self.block(sites)[None], [(tuple(sites),)], RDM_ERROR)[0]
 
     def energy(self, terms, gradient: bool = False):
         """Sum of normalized term values, edges first, and with ``gradient`` its per-group gradient stacks.

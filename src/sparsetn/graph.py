@@ -199,28 +199,22 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges)
 
 
-def _connected_component_sizes(g: Graph):
-    seen = [False] * g.n
-    sizes = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        q = deque([s])
-        seen[s] = True
-        size = 0
-        while q:
-            v = q.popleft()
-            size += 1
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    q.append(w)
-        sizes.append(size)
-    return sizes
+def _distances(g: Graph, start: int) -> list:
+    """Breadth-first distance from ``start`` to every vertex, -1 where unreachable."""
+    dist = [-1] * g.n
+    dist[start] = 0
+    q = deque([start])
+    while q:
+        v = q.popleft()
+        for w in g.neighbors(v):
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                q.append(w)
+    return dist
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_connected_component_sizes(g)) == 1
+    return min(_distances(g, 0)) >= 0
 
 
 def is_tree(g: Graph) -> bool:
@@ -228,26 +222,11 @@ def is_tree(g: Graph) -> bool:
     return is_connected(g) and len(g.edges) == g.n - 1
 
 
-def _bfs_eccentricity(g: Graph, start: int) -> int:
-    dist = [-1] * g.n
-    dist[start] = 0
-    q = deque([start])
-    ecc = 0
-    while q:
-        v = q.popleft()
-        for w in g.neighbors(v):
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                ecc = max(ecc, dist[w])
-                q.append(w)
-    return ecc
-
-
 def diameter(g: Graph) -> int | None:
     """Longest shortest path; None if the graph is disconnected."""
     if not is_connected(g):
         return None
-    return max(_bfs_eccentricity(g, v) for v in range(g.n))
+    return max(max(_distances(g, v)) for v in range(g.n))
 
 
 def count_cycles(g: Graph, max_len: int) -> dict:

@@ -7,7 +7,6 @@ matrix basis convention used by the contraction engine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,13 +115,3 @@ def model_from_json(data: dict) -> Hamiltonian:
         return transverse_field_ising(g, float(params["hx"]))
     raise ValueError(f"unknown model '{name}'")
 
-
-def save_model(name: str, params: dict, g: Graph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_json(name, params, g), fh)
-        fh.write("\n")
-
-
-def load_model(path) -> Hamiltonian:
-    with open(path) as fh:
-        return model_from_json(json.load(fh))

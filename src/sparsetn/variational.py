@@ -243,9 +243,8 @@ def run_sweep_point(
 ) -> SweepPoint:
     seed = _derived_seed(base_seed, i_hx, restart)
     trace = variational_prepare(g, h, dataclasses.replace(cfg, noise_seed=seed))
-    state = trace.final_state
-    msgs, diag = run_bp(state, BpConfig(max_steps=100, rdm_tolerance=1e-8), msgs=dict(trace.final_messages))
-    env = Environment(state, msgs)
+    _, diag = run_bp(trace.final_state, BpConfig(max_steps=100, rdm_tolerance=1e-8), msgs=trace.final_messages)
+    env = diag.env
     obs = _site_averages(env)
     e_val = env.energy(env.lay.terms(h))[0]
     return SweepPoint(

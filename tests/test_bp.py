@@ -4,6 +4,7 @@ import pytest
 from sparsetn.bp import (
     BpConfig,
     Rdm,
+    _site_averages,
     bp_diagnostics_to_csv,
     bp_step,
     entanglement_entropy,
@@ -16,7 +17,8 @@ from sparsetn.bp import (
     run_bp,
     site_averaged_observables,
 )
-from sparsetn.graph import Graph, build_tree, compute_diagnostics, random_regular
+from sparsetn.env import Environment
+from sparsetn.graph import Graph, build_tree, compute_diagnostics, grid_graph, random_regular
 from sparsetn.oracles import statevector_rdm
 from sparsetn.states import (
     graph_state,
@@ -147,6 +149,17 @@ class TestRunBp:
         _, diag2 = run_bp(s, BpConfig(max_steps=200, rdm_tolerance=1e-10), msgs=msgs)
         assert diag2.steps_run <= 2
 
+    @pytest.mark.parametrize("state", [
+        square_root_state(random_regular(20, 3, seed=8), 0.4, 1.0),
+        random_state(grid_graph(3, 4), 3, seed=6),  # degrees 2, 3 and 4
+    ])
+    def test_hands_on_its_environment(self, state):
+        msgs, diag = run_bp(state, BpConfig(max_steps=30, rdm_tolerance=1e-10, init="random", init_seed=3))
+        assert list(diag.env.msgs) == list(msgs)
+        for key, m in msgs.items():
+            np.testing.assert_array_equal(diag.env.msgs[key], m)
+        assert _site_averages(diag.env) == site_averaged_observables(state, msgs)
+
 
 class TestRdm:
     def test_product_state_site(self):
@@ -201,6 +214,26 @@ class TestRdm:
             a = rdm(s, msgs, sites).matrix
             b = rdm(s, scaled, sites).matrix
             np.testing.assert_array_equal(a, b)
+
+
+    def test_contracts_only_its_own_sites(self, monkeypatch):
+        g = random_regular(20, 3, seed=8)
+        s = random_state(g, 2, seed=5)
+        msgs = init_messages(s, "random", seed=1)
+        env = Environment(s, msgs)
+        site_rdms, edge_rdms = env.site_rdms(), env.edge_rdms()
+
+        def whole_graph(*args, **kwargs):
+            raise AssertionError("rdm built an Environment of the whole graph")
+
+        monkeypatch.setattr("sparsetn.bp.Environment", whole_graph)
+        a, b = g.edges[0]
+        c = next(u for u in g.neighbors(b) if u != a)
+        np.testing.assert_allclose(rdm(s, msgs, (a,)).matrix, site_rdms[a], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rdm(s, msgs, (a, b)).matrix, edge_rdms[0], rtol=0, atol=1e-12)
+        rho3 = rdm(s, msgs, (a, b, c)).matrix
+        assert rho3.shape == (8, 8)
+        assert abs(np.trace(rho3) - 1.0) < 1e-12
 
 
 class TestObservables:

@@ -108,13 +108,6 @@ def test_bp_deltas_match_reference(seed, d):
         assert abs(msg_delta - msg_old) <= 1e-12 * max(msg_old, 1e-3)
 
 
-def test_environment_reuses_gates():
-    state, msgs, _ = mixed_state(0, 2)
-    env = Environment(state, msgs)
-    assert env.gate(2, 3) is env.gate(2, 3)
-    assert env.ket(7) is state.site_tensors[7]  # isolated: nothing to absorb
-
-
 def test_failures_name_the_message_or_sites():
     state, msgs, _ = mixed_state(0, 2)
     dead = {key: np.zeros_like(m) for key, m in msgs.items()}
