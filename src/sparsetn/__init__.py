@@ -30,8 +30,6 @@ from .tensor import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    contract,
-    hermitian_eig,
     symmetric_factor,
     tensor_from_json,
     tensor_to_json,
@@ -69,7 +67,9 @@ from .bp import (
     site_averaged_observables,
 )
 from .hamiltonian import (
+    MODELS,
     Hamiltonian,
+    build_model,
     mixed_field_ising,
     model_from_json,
     model_to_json,

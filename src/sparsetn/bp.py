@@ -57,7 +57,6 @@ class BpConfig:
     max_steps: int = 100
     rdm_tolerance: float = 1e-8
     damping: float = 0.0
-    schedule: str = "synchronous"
     init: str = "identity"
     init_seed: int = 0
     workers: int = 1
@@ -69,8 +68,6 @@ class BpConfig:
             raise ValueError("rdm_tolerance must be positive")
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must lie in [0, 1)")
-        if self.schedule != "synchronous":
-            raise ValueError("only the synchronous schedule is supported")
         if self.init not in ("identity", "random"):
             raise ValueError("init must be 'identity' or 'random'")
         if self.workers < 1:
@@ -312,8 +309,3 @@ def save_messages(msgs: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(messages_to_json(msgs), fh)
         fh.write("\n")
-
-
-def load_messages(path) -> dict:
-    with open(path) as fh:
-        return messages_from_json(json.load(fh))

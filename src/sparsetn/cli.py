@@ -1,11 +1,13 @@
 """Command line experiment driver.
 
-Every subcommand is deterministic given its resolved configuration, which is
-written as JSON next to the outputs; re-running with that file reproduces the
-outputs bit-identically in single-threaded mode. Curves are emitted as CSV,
-objects as JSON. Exit codes: 0 success, 2 invalid configuration (including a
-problem too large for memory), 3 numerical failure (BP non-convergence is
-reported in a column, not treated as failure).
+Every subcommand is deterministic given its resolved configuration. ``main``
+creates the output directory, runs the subcommand and, once it succeeds,
+writes every parsed option to ``<command>_config.json`` next to the outputs;
+re-running with that file reproduces the outputs bit-identically in
+single-threaded mode. Curves are emitted as CSV, objects as JSON. Exit codes:
+0 success, 2 invalid configuration (including a problem too large for
+memory), 3 numerical failure (BP non-convergence is reported in a column, not
+treated as failure).
 
 ``--threads`` is accepted by every subcommand. ``tfim-sweep`` runs its
 (hx, restart) jobs in that many processes; ``bp-run`` validates it (>= 1)
@@ -26,12 +28,8 @@ from . import bp, graph, hamiltonian, oracles, states, variational
 from .tensor import PAULI_X, PAULI_Z
 
 _STATE_KINDS = ("graph", "sqrt", "product", "random")
-
-
-def _write_config(args, name: str) -> None:
-    """Write every parsed option, so any run can be repeated with ``--config``."""
-    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
-    _write_json(os.path.join(args.out_dir, f"{name}_config.json"), cfg)
+_TRACE_HEADER = ["hx", "restart", "iteration", "energy", "energy_density", "mean_abs_z", "mean_x", "mean_zz",
+                 "converged"]
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -72,8 +70,7 @@ def _grid(spec: str):
     return [float(x) for x in spec.split(",")]
 
 
-def cmd_graph_gen(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+def cmd_graph_gen(args) -> None:
     if args.tree:
         g = graph.build_tree(args.n, args.branching)
     else:
@@ -93,12 +90,9 @@ def cmd_graph_gen(args) -> int:
     if diag.expansion is not None:
         rows.append(("expansion", float(diag.expansion)))
     _write_csv(os.path.join(args.out_dir, "graph_diagnostics.csv"), ["key", "value"], rows)
-    _write_config(args, "graph_gen")
-    return 0
 
 
-def cmd_bp_run(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+def cmd_bp_run(args) -> None:
     g = graph.load_graph(args.graph)
     state = _build_state(g, args.state, args.beta, args.j, args.chi, args.seed)
     cfg = bp.BpConfig(max_steps=args.max_steps, rdm_tolerance=args.tol, damping=args.damping,
@@ -117,12 +111,9 @@ def cmd_bp_run(args) -> int:
     })
     if args.save_messages:
         bp.save_messages(msgs, os.path.join(args.out_dir, "bp_messages.json"))
-    _write_config(args, "bp_run")
-    return 0
 
 
-def cmd_graphstate_check(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+def cmd_graphstate_check(args) -> None:
     g = graph.load_graph(args.graph)
     state = states.graph_state(g)
     msgs = bp.init_messages(state, args.init, args.seed)
@@ -133,12 +124,9 @@ def cmd_graphstate_check(args) -> int:
     _write_csv(os.path.join(args.out_dir, "graphstate_check.csv"),
                ["step", "mean_abs_z", "mean_x", "mean_y", "edge_entropy", "edge_zz", "max_rdm_trace_distance"],
                rows)
-    _write_config(args, "graphstate_check")
-    return 0
 
 
-def cmd_sqrt_sweep(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+def cmd_sqrt_sweep(args) -> None:
     g = graph.load_graph(args.graph)
     betas = _grid(args.betas)
     exact = args.exact or (args.exact is None and g.n <= 12)
@@ -175,8 +163,6 @@ def cmd_sqrt_sweep(args) -> int:
     _write_csv(os.path.join(args.out_dir, "sqrt_sweep.csv"), header, rows)
     if report:
         _write_json(os.path.join(args.out_dir, "sqrt_sweep_deviations.json"), report)
-    _write_config(args, "sqrt_sweep")
-    return 0
 
 
 def _var_config(args) -> variational.VarConfig:
@@ -210,24 +196,14 @@ def _check_oracle(args, g: graph.Graph) -> None:
         raise ValueError("--oracle requires n <= 14")
 
 
-def cmd_var_prep(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+def cmd_var_prep(args) -> None:
     g = graph.load_graph(args.graph)
     _check_oracle(args, g)
-    if args.model == "mixed_field_ising":
-        h = hamiltonian.mixed_field_ising(g, args.jzz, args.hx, args.hz)
-        params = {"jzz": args.jzz, "hx": args.hx, "hz": args.hz}
-    elif args.model == "tfim":
-        h = hamiltonian.transverse_field_ising(g, args.hx)
-        params = {"hx": args.hx}
-    else:
-        raise ValueError(f"unknown model '{args.model}'")
+    params = {k: getattr(args, k) for k in hamiltonian.MODELS[args.model][1]}
+    h = hamiltonian.build_model(args.model, g, params)
     cfg = _var_config(args)
     trace = variational.variational_prepare(g, h, cfg)
-    _write_csv(os.path.join(args.out_dir, "var_prep.csv"),
-               ["hx", "restart", "iteration", "energy", "energy_density", "mean_abs_z", "mean_x",
-                "mean_zz", "converged"],
-               _trace_rows(args.hx, 0, trace, g.n))
+    _write_csv(os.path.join(args.out_dir, "var_prep.csv"), _TRACE_HEADER, _trace_rows(args.hx, 0, trace, g.n))
     summary = {"model": args.model, "params": params, "final_energy": trace.energies[-1],
                "final_energy_density": trace.energies[-1] / g.n}
     if args.oracle:
@@ -244,12 +220,9 @@ def cmd_var_prep(args) -> int:
     _write_json(os.path.join(args.out_dir, "var_prep_summary.json"), summary)
     if args.save_state:
         states.save_state(trace.final_state, os.path.join(args.out_dir, "var_prep_state.json"))
-    _write_config(args, "var_prep")
-    return 0
 
 
-def cmd_tfim_sweep(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+def cmd_tfim_sweep(args) -> None:
     g = graph.load_graph(args.graph)
     _check_oracle(args, g)
     hxs = _grid(args.hx_grid)
@@ -260,9 +233,7 @@ def cmd_tfim_sweep(args) -> int:
         trace_rows.extend(_trace_rows(pt.hx, pt.restart, pt.trace, g.n))
         summary_rows.append((pt.hx, pt.restart, pt.noise_seed, pt.mean_abs_z, pt.mean_x, pt.mean_zz,
                              pt.energy, pt.energy_density, int(pt.bp_converged)))
-    _write_csv(os.path.join(args.out_dir, "tfim_sweep_trace.csv"),
-               ["hx", "restart", "iteration", "energy", "energy_density", "mean_abs_z", "mean_x",
-                "mean_zz", "converged"], trace_rows)
+    _write_csv(os.path.join(args.out_dir, "tfim_sweep_trace.csv"), _TRACE_HEADER, trace_rows)
     _write_csv(os.path.join(args.out_dir, "tfim_sweep.csv"),
                ["hx", "restart", "noise_seed", "mean_abs_z", "mean_x", "mean_zz", "energy",
                 "energy_density", "bp_converged"], summary_rows)
@@ -276,8 +247,6 @@ def cmd_tfim_sweep(args) -> int:
             ed_rows.append((hx, ed.e0, ed.e0 / g.n, ed.e1, zmean))
         _write_csv(os.path.join(args.out_dir, "tfim_sweep_ed.csv"),
                    ["hx", "e0", "e0_density", "e1", "ed_mean_abs_z"], ed_rows)
-    _write_config(args, "tfim_sweep")
-    return 0
 
 
 def _add_common(p):
@@ -354,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("var-prep", help="variational ground-state preparation")
     p.add_argument("--graph", required=True)
-    p.add_argument("--model", choices=["mixed_field_ising", "tfim"], default="mixed_field_ising")
+    p.add_argument("--model", choices=list(hamiltonian.MODELS), default="mixed_field_ising")
     p.add_argument("--jzz", type=float, default=-1.0)
     p.add_argument("--hx", type=float, default=-2.0)
     p.add_argument("--hz", type=float, default=-0.5)
@@ -410,7 +379,11 @@ def main(argv=None) -> int:
         if argv and "--config" in argv:
             argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        os.makedirs(args.out_dir, exist_ok=True)
+        args.func(args)
+        cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+        _write_json(os.path.join(args.out_dir, f"{args.command.replace('-', '_')}_config.json"), cfg)
+        return 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -122,6 +122,8 @@ class _Layout:
     def terms(self, h):
         """Edge terms in edge order, vertex terms per site (zero where none), and which terms exist."""
         g, d, m = self.graph, self.phys_dim, len(self.graph.edges)
+        if h.phys_dim != d:
+            raise ValueError(f"hamiltonian has phys_dim {h.phys_dim} but the state has {d}")
         edge_ops = np.array([h.edge_terms[e] for e in g.edges], dtype=complex).reshape(m, d * d, d * d)
         vert_ops, present = np.zeros((g.n, d, d), dtype=complex), np.arange(m + g.n) < m
         for a, op in h.vertex_terms.items():
@@ -195,7 +197,11 @@ class Environment:
         """The environment of the same site tensors under the next synchronous message set."""
         raw = np.trace(self._gates, axis1=1, axis2=2)
         new = unit_trace(raw, self.lay.graph.directed_edges, "message {}->{} lost positivity (trace={tr})")
-        return _environment(self.lay, self.stacks, (1.0 - damping) * new + damping * self.msg_stack if damping else new)
+        new = (1.0 - damping) * new + damping * self.msg_stack if damping else new
+        # subnormal parts are flushed to zero, so rescaling a message by a power of two stays exact downstream
+        parts = new.view(float)
+        parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+        return _environment(self.lay, self.stacks, new)
 
     def with_stacks(self, stacks) -> "Environment":
         """New site-tensor stacks under the same messages; a bad tensor raises the ``TensorNetworkState`` error."""

@@ -19,6 +19,8 @@ __all__ = [
     "mixed_field_ising",
     "transverse_field_ising",
     "sqrt_parent_hamiltonian",
+    "MODELS",
+    "build_model",
     "model_to_json",
     "model_from_json",
 ]
@@ -101,17 +103,21 @@ def sqrt_parent_hamiltonian(g: Graph, beta: float, j: float = 1.0):
     return terms
 
 
+# model name -> its builder and the names of the builder's parameters after the graph
+MODELS = {"mixed_field_ising": (mixed_field_ising, ("jzz", "hx", "hz")), "tfim": (transverse_field_ising, ("hx",))}
+
+
+def build_model(name: str, g: Graph, params: dict) -> Hamiltonian:
+    """The model ``name`` on ``g``, its parameters read from ``params`` by name."""
+    if name not in MODELS:
+        raise ValueError(f"unknown model '{name}'")
+    builder, keys = MODELS[name]
+    return builder(g, *(float(params[k]) for k in keys))
+
+
 def model_to_json(name: str, params: dict, g: Graph) -> dict:
     return {"model": name, "params": dict(params), "graph": graph_to_json(g)}
 
 
 def model_from_json(data: dict) -> Hamiltonian:
-    g = graph_from_json(data["graph"])
-    name = data["model"]
-    params = data.get("params", {})
-    if name == "mixed_field_ising":
-        return mixed_field_ising(g, float(params["jzz"]), float(params["hx"]), float(params["hz"]))
-    if name == "tfim":
-        return transverse_field_ising(g, float(params["hx"]))
-    raise ValueError(f"unknown model '{name}'")
-
+    return build_model(data["model"], graph_from_json(data["graph"]), data.get("params", {}))

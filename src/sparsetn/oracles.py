@@ -77,8 +77,11 @@ def hamiltonian_terms(h: Hamiltonian):
 
 
 def _embed(op, sites, n):
-    """Place a d^k x d^k operator on the given qubits of an n-qubit register."""
+    """Place a 2^k x 2^k operator on the given qubits of an n-qubit register."""
     k = len(sites)
+    opd = np.asarray(op, dtype=complex)
+    if opd.shape != (1 << k, 1 << k):
+        raise ValueError(f"operator on sites {sites} has shape {opd.shape}, not that of {k} qubits")
     others = [v for v in range(n) if v not in sites]
     n_rest = 1 << (n - k)
     rest = np.zeros(n_rest, dtype=np.int64)
@@ -89,7 +92,6 @@ def _embed(op, sites, n):
     pidx = np.arange(1 << k, dtype=np.int64)
     for t, v in enumerate(sites):
         place |= ((pidx >> (k - 1 - t)) & 1) << (n - 1 - v)
-    opd = np.asarray(op, dtype=complex)
     rows, cols, vals = [], [], []
     for pp in range(1 << k):
         for p in range(1 << k):

@@ -1,4 +1,4 @@
-"""Dense complex tensor kernels shared by every other module.
+"""Pauli matrices, the symmetric factorization of edge matrices, and tensor JSON.
 
 Tensors are plain ``numpy`` arrays of ``complex128`` in C (row-major) order;
 the row-major linearization is part of the serialization contract.
@@ -14,8 +14,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "IDENTITY2",
-    "contract",
-    "hermitian_eig",
     "symmetric_factor",
     "tensor_to_json",
     "tensor_from_json",
@@ -25,37 +23,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
-
-
-def contract(a, b, axis_pairs):
-    """Contract tensors ``a`` and ``b`` over the given ``(axis_a, axis_b)`` pairs.
-
-    The result carries the unpaired axes of ``a`` followed by those of ``b``,
-    each group in its original order.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    ax_a = [p[0] for p in axis_pairs]
-    ax_b = [p[1] for p in axis_pairs]
-    for i, j in axis_pairs:
-        if a.shape[i] != b.shape[j]:
-            raise ValueError(f"axis extent mismatch: a.shape[{i}]={a.shape[i]} vs b.shape[{j}]={b.shape[j]}")
-    return np.tensordot(a, b, axes=(ax_a, ax_b))
-
-
-def hermitian_eig(m):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v`` whose
-    columns are the eigenvectors, so ``m = v @ diag(w) @ v.conj().T``.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("hermitian_eig expects a square matrix")
-    if not np.allclose(m, m.conj().T, rtol=1e-12, atol=1e-10):
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    w, v = np.linalg.eigh(m)
-    return w, v
 
 
 def symmetric_factor(m):

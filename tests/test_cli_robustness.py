@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -39,6 +40,38 @@ def test_no_exact_round_trips_through_config(tmp_path, graph_file):
     assert main(["sqrt-sweep", "--config", str(cfg_path), "--out-dir", str(d2)]) == 0
     assert (d1 / "sqrt_sweep.csv").read_bytes() == (d2 / "sqrt_sweep.csv").read_bytes()
     assert not any(col.startswith("exact_") for col in read_csv(d2 / "sqrt_sweep.csv")[0])
+
+
+# one run per subcommand, each with a non-default value, plus its flags that write extra files
+ROUND_TRIPS = [
+    ["graph-gen", "--tree", "--n", "13", "--branching", "3", "--max-cycle-len", "6"],
+    ["bp-run", "--graph", "{graph}", "--state", "sqrt", "--beta", "0.3", "--init", "random", "--seed", "2",
+     "--save-messages"],
+    ["graphstate-check", "--graph", "{graph}", "--steps", "4", "--damping", "0.2", "--init", "random"],
+    ["var-prep", "--graph", "{graph}", "--model", "tfim", "--hx", "1.5", "--t-var", "3", "--chi", "3",
+     "--oracle", "--save-state"],
+    ["tfim-sweep", "--graph", "{graph}", "--hx-grid", "1.0,3.0", "--restarts", "2", "--t-var", "3",
+     "--init-noise", "0.05"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIPS, ids=lambda argv: argv[0])
+def test_config_round_trips(tmp_path, small_graph_file, argv):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert main([small_graph_file if a == "{graph}" else a for a in argv] + ["--out-dir", str(d1)]) == 0
+    name = f"{argv[0].replace('-', '_')}_config.json"
+    assert main([argv[0], "--config", str(d1 / name), "--out-dir", str(d2)]) == 0
+    assert sorted(os.listdir(d1)) == sorted(os.listdir(d2))
+    for out in os.listdir(d1):
+        if out != name:
+            assert (d1 / out).read_bytes() == (d2 / out).read_bytes(), out
+    cfg1, cfg2 = (json.loads((d / name).read_text()) for d in (d1, d2))
+    assert {k for k in cfg1 if cfg1[k] != cfg2[k]} == {"out_dir"}
+
+
+def test_failed_run_writes_no_config(tmp_path):
+    assert main(["graph-gen", "--n", "5", "--r", "3", "--out-dir", str(tmp_path)]) == 2
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command,output", [("var-prep", "var_prep.csv"), ("tfim-sweep", "tfim_sweep.csv")])

@@ -4,13 +4,15 @@ Inputs cover what the layer claims to support beyond the shipped models:
 mixed vertex degrees with an isolated vertex, a different bond dimension on
 every edge, a physical dimension of 3, and random complex Hermitian edge and
 vertex terms (a real symmetric term cannot tell an operator from its
-transpose).
+transpose). A hypothesis property test adds drawn trees, random regular
+graphs and grids with a drawn bond dimension on every edge.
 """
 
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 from sparsetn.bp import bp_iterate, bp_step, init_messages, rdm
@@ -207,3 +209,52 @@ def test_grouped_failures_name_the_first_edge_or_site():
     stacks[0][env.lay.index_of[4]] = np.inf
     with pytest.raises(ValueError, match=r"^site 4: non-finite entries$"):
         env.with_stacks(stacks)
+
+
+@st.composite
+def drawn_networks(draw):
+    """A random state on a drawn tree (n 2-12), 3-regular graph (n 6-14) or grid (2-4 x 2-4) with chi 1-3 per edge.
+
+    Also random messages, a Hamiltonian with a term on every edge and site, and one site and one edge to query.
+    """
+    kind = draw(st.sampled_from(["tree", "regular", "grid"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "tree":
+        n = draw(st.integers(2, 12))
+        g = Graph(n, [(int(rng.integers(v)), v) for v in range(1, n)])
+    elif kind == "regular":
+        g = random_regular(draw(st.sampled_from([6, 8, 10, 12, 14])), 3, seed=seed)
+    else:
+        g = grid_graph(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    chis = {e: draw(st.integers(1, 3)) for e in g.edges}
+    tensors = []
+    for v in range(g.n):
+        shape = (2,) + tuple(chis[(min(v, u), max(v, u))] for u in g.neighbors(v))
+        tensors.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    state = TensorNetworkState(g, tensors, 2)
+    h = Hamiltonian(
+        graph=g,
+        edge_terms={e: random_hermitian(rng, 4) for e in g.edges},
+        vertex_terms={a: random_hermitian(rng, 2) for a in range(g.n)},
+    )
+    site = draw(st.integers(0, g.n - 1))
+    edge = g.edges[draw(st.integers(0, len(g.edges) - 1))]
+    return state, init_messages(state, "random", seed=seed), h, site, edge
+
+
+@given(drawn_networks(), st.sampled_from([0.0, 0.3]))
+@settings(max_examples=30, deadline=None)
+def test_drawn_networks_match_reference(net, damping):
+    state, msgs, h, site, edge = net
+    new = bp_step(state, msgs, damping)
+    old = ref.bp_step(state, msgs, damping)
+    assert list(new) == list(old)
+    for key in old:
+        assert_matches(new[key], old[key])
+    for sites in [(site,), edge]:
+        assert_matches(rdm(state, msgs, sites).matrix, ref.rdm(state, msgs, sites))
+    e_ref, g_ref = ref.energy_and_gradient(state, msgs, h)
+    assert abs(energy(state, msgs, h) - e_ref) <= RTOL * max(abs(e_ref), 1.0)
+    for new_grad, old_grad in zip(energy_gradient(state, msgs, h), g_ref, strict=True):
+        assert_matches(new_grad, old_grad)

@@ -5,7 +5,7 @@ import reference_kernels as ref
 
 from sparsetn.bp import BpConfig, expectation, rdm, run_bp
 from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
-from sparsetn.hamiltonian import mixed_field_ising, transverse_field_ising
+from sparsetn.hamiltonian import Hamiltonian, mixed_field_ising, transverse_field_ising
 from sparsetn.oracles import (
     classical_exact_expectations,
     classical_ising_mc,
@@ -14,6 +14,7 @@ from sparsetn.oracles import (
     ground_space_overlap,
     hamiltonian_matrix,
     statevector_rdm,
+    term_list_matrix,
 )
 from sparsetn.states import graph_state, product_state, square_root_state, to_statevector
 from sparsetn.tensor import PAULI_X, PAULI_Z
@@ -60,6 +61,16 @@ class TestExactDiagonalize:
         g = build_tree(15, 1)
         with pytest.raises(ValueError):
             exact_diagonalize(transverse_field_ising(g, 1.0))
+
+    def test_rejects_non_qubit_terms(self):
+        # a qutrit term has no place on a qubit register; reading its 4x4 corner gave a wrong spectrum
+        a = np.random.default_rng(0).standard_normal((9, 9))
+        g = cycle_graph(3)
+        h = Hamiltonian(graph=g, edge_terms={e: a + a.T for e in g.edges}, phys_dim=3)
+        with pytest.raises(ValueError, match=r"^operator on sites \(0, 1\) has shape \(9, 9\)"):
+            exact_diagonalize(h)
+        with pytest.raises(ValueError, match=r"^operator on sites \(1, 2\) has shape \(9, 9\)"):
+            term_list_matrix([((1, 2), a + a.T)], 3)
 
 
 class TestEigenpairTail:

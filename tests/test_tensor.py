@@ -1,107 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
 
 from sparsetn.tensor import (
-    PAULI_X,
-    PAULI_Z,
-    contract,
-    hermitian_eig,
     symmetric_factor,
     tensor_from_json,
     tensor_to_json,
 )
-
-
-def contract_reference(a, b, axis_pairs):
-    """Naive nested-loop contraction used as the oracle."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    ax_a = [p[0] for p in axis_pairs]
-    ax_b = [p[1] for p in axis_pairs]
-    free_a = [i for i in range(a.ndim) if i not in ax_a]
-    free_b = [i for i in range(b.ndim) if i not in ax_b]
-    out_shape = [a.shape[i] for i in free_a] + [b.shape[i] for i in free_b]
-    out = np.zeros(out_shape, dtype=complex)
-    for idx_a in np.ndindex(a.shape):
-        for idx_b in np.ndindex(b.shape):
-            if all(idx_a[i] == idx_b[j] for i, j in axis_pairs):
-                out_idx = tuple(idx_a[i] for i in free_a) + tuple(idx_b[i] for i in free_b)
-                out[out_idx] += a[idx_a] * b[idx_b]
-    return out
-
-
-class TestContract:
-    def test_identity_on_vector(self):
-        out = contract(np.eye(2), np.array([1.0, 0.0]), [(1, 0)])
-        np.testing.assert_allclose(out, [1.0, 0.0])
-
-    def test_pauli_xz_product(self):
-        out = contract(PAULI_X, PAULI_Z, [(1, 0)])
-        np.testing.assert_allclose(out, [[0, -1], [1, 0]])
-
-    def test_rank3_with_own_conjugate(self):
-        rng = np.random.default_rng(0)
-        t = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-        out = contract(t, t.conj(), [(0, 0), (2, 2)])
-        ref = contract_reference(t, t.conj(), [(0, 0), (2, 2)])
-        np.testing.assert_allclose(out, ref, atol=1e-13)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            contract(np.eye(2), np.eye(3), [(1, 0)])
-
-    @given(hst.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_loop_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        rank_a = int(rng.integers(1, 5))
-        rank_b = int(rng.integers(1, 5))
-        npairs = int(rng.integers(1, min(rank_a, rank_b) + 1))
-        ax_a = rng.choice(rank_a, size=npairs, replace=False)
-        ax_b = rng.choice(rank_b, size=npairs, replace=False)
-        shape_a = [int(rng.integers(1, 4)) for _ in range(rank_a)]
-        shape_b = [int(rng.integers(1, 4)) for _ in range(rank_b)]
-        for i, j in zip(ax_a, ax_b):
-            shape_b[j] = shape_a[i]
-        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
-        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
-        pairs = [(int(i), int(j)) for i, j in zip(ax_a, ax_b)]
-        got = contract(a, b, pairs)
-        ref = contract_reference(a, b, pairs)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-
-class TestHermitianEig:
-    def test_pauli_z(self):
-        w, _ = hermitian_eig(PAULI_Z)
-        np.testing.assert_allclose(w, [-1.0, 1.0])
-
-    def test_pauli_x_eigensystem(self):
-        w, v = hermitian_eig(PAULI_X)
-        np.testing.assert_allclose(w, [-1.0, 1.0])
-        for col, val in zip(v.T, w):
-            np.testing.assert_allclose(PAULI_X @ col, val * col, atol=1e-12)
-
-    def test_reconstruction_and_unitarity(self):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = 0.5 * (m + m.conj().T)
-        w, v = hermitian_eig(m)
-        assert np.all(np.diff(w) >= 0)
-        np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, m, atol=1e-10)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-10)
-
-    def test_eigenvalue_sum_is_trace(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        m = 0.5 * (m + m.conj().T)
-        w, _ = hermitian_eig(m)
-        assert abs(w.sum() - np.trace(m).real) <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestSymmetricFactor:

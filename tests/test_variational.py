@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sparsetn.bp import BpConfig, bp_step, init_messages, run_bp
-from sparsetn.graph import Graph, build_tree, random_regular
-from sparsetn.hamiltonian import mixed_field_ising, transverse_field_ising
+from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
+from sparsetn.hamiltonian import Hamiltonian, mixed_field_ising, transverse_field_ising
 from sparsetn.oracles import exact_diagonalize, hamiltonian_matrix
 from sparsetn.states import product_state, random_state, to_statevector
 from sparsetn.variational import (
@@ -73,6 +73,17 @@ class TestEnergy:
         s = plus_state(g1)
         with pytest.raises(ValueError):
             energy(s, init_messages(s, "identity"), transverse_field_ising(g2, 1.0))
+
+    def test_phys_dim_mismatch_is_named(self):
+        g = cycle_graph(4)
+        h = Hamiltonian(graph=g, edge_terms={e: np.eye(9) for e in g.edges}, phys_dim=3)
+        s = plus_state(g)
+        msgs = init_messages(s, "identity")
+        message = r"^hamiltonian has phys_dim 3 but the state has 2$"
+        for run in (lambda: energy(s, msgs, h), lambda: energy_gradient(s, msgs, h),
+                    lambda: variational_prepare(g, h, VarConfig(t_var=1))):
+            with pytest.raises(ValueError, match=message):
+                run()
 
 
 class TestGradient:
