@@ -79,7 +79,7 @@ def cmd_graph_gen(args) -> None:
         g = graph.random_regular(args.n, args.r, args.seed)
     out = args.out or os.path.join(args.out_dir, "graph.json")
     graph.save_graph(g, out)
-    diag = graph.compute_diagnostics(g, max_cycle_len=args.max_cycle_len, include_expansion=g.n <= 20)
+    diag = graph.compute_diagnostics(g, max_cycle_len=args.max_cycle_len, include_expansion=True)
     rows = [("n", g.n), ("edges", len(g.edges)), ("connected", int(diag.connected)),
             ("is_tree", int(graph.is_tree(g))),
             ("diameter", diag.diameter if diag.diameter is not None else "disconnected")]
@@ -346,13 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    """Use --config values as defaults; explicit flags still win."""
-    if "--config" not in argv:
+    """Use --config values as defaults: they go before the command line's flags, and argparse keeps the last."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # a --config without a path is left for the full parser to report
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
     with open(path) as fh:
         values = json.load(fh)
+    if not isinstance(values, dict):
+        raise ValueError(f"config file {path} does not hold a JSON object")
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = subparsers.choices.get(argv[0])
     negatable = {a.dest for a in (command._actions if command else ())
@@ -360,7 +363,7 @@ def _apply_config_file(parser, argv):
     extra = []
     for key, val in values.items():
         flag = "--" + key.replace("_", "-")
-        if flag in argv or f"--no-{key.replace('_', '-')}" in argv or not isinstance(val, (int, float, str, bool)):
+        if not isinstance(val, (int, float, str, bool)):
             continue
         if isinstance(val, bool):
             if val:
@@ -376,8 +379,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if argv and "--config" in argv:
-            argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         os.makedirs(args.out_dir, exist_ok=True)
         args.func(args)

@@ -89,15 +89,9 @@ def sqrt_parent_hamiltonian(g: Graph, beta: float, j: float = 1.0):
     for a in range(g.n):
         nbrs = g.neighbors(a)
         r = len(nbrs)
-        dim = 2 ** (r + 1)
-        # diagonal of Z_a * sum_b Z_b in the (a, b_1..b_r) product basis
-        za = np.array([1.0, -1.0])
-        diag = np.zeros(dim)
-        for idx in range(dim):
-            bits = [(idx >> (r - k)) & 1 for k in range(r + 1)]  # bits[0] = site a
-            sa = za[bits[0]]
-            diag[idx] = sa * sum(za[bits[1 + k]] for k in range(r))
-        expo = np.diag(np.exp(-beta * j * diag)).astype(complex)
+        # Z eigenvalue of each site of (a, b_1..b_r) in each product basis state; column 0 is site a
+        spins = 1 - 2 * ((np.arange(2 ** (r + 1))[:, None] >> np.arange(r, -1, -1)) & 1)
+        expo = np.diag(np.exp(-beta * j * spins[:, 0] * spins[:, 1:].sum(axis=1))).astype(complex)
         xa = np.kron(PAULI_X, np.eye(2**r, dtype=complex))
         terms.append(((a,) + tuple(nbrs), -xa + expo))
     return terms

@@ -77,36 +77,21 @@ def hamiltonian_terms(h: Hamiltonian):
 
 
 def _embed(op, sites, n):
-    """Place a 2^k x 2^k operator on the given qubits of an n-qubit register."""
+    """Place a 2^k x 2^k operator on the given qubits of an n-qubit register.
+
+    ``index[p, j]`` is the register basis state whose bits on ``sites`` spell
+    ``p`` (first site most significant) and whose other bits spell ``j``; each
+    nonzero entry ``op[pp, p]`` lands on the rows ``index[pp]`` and columns
+    ``index[p]``.
+    """
     k = len(sites)
     opd = np.asarray(op, dtype=complex)
     if opd.shape != (1 << k, 1 << k):
         raise ValueError(f"operator on sites {sites} has shape {opd.shape}, not that of {k} qubits")
-    others = [v for v in range(n) if v not in sites]
-    n_rest = 1 << (n - k)
-    rest = np.zeros(n_rest, dtype=np.int64)
-    idx = np.arange(n_rest, dtype=np.int64)
-    for t, v in enumerate(others):
-        rest |= ((idx >> (len(others) - 1 - t)) & 1) << (n - 1 - v)
-    place = np.zeros(1 << k, dtype=np.int64)
-    pidx = np.arange(1 << k, dtype=np.int64)
-    for t, v in enumerate(sites):
-        place |= ((pidx >> (k - 1 - t)) & 1) << (n - 1 - v)
-    rows, cols, vals = [], [], []
-    for pp in range(1 << k):
-        for p in range(1 << k):
-            val = opd[pp, p]
-            if val == 0:
-                continue
-            rows.append(rest + place[pp])
-            cols.append(rest + place[p])
-            vals.append(np.full(n_rest, val))
-    dim = 1 << n
-    if not rows:
-        return sp.csr_matrix((dim, dim), dtype=complex)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    ).tocsr()
+    index = np.moveaxis(np.arange(1 << n).reshape((2,) * n), sites, range(k)).reshape(1 << k, -1)
+    pp, p = np.nonzero(opd)
+    vals = np.repeat(opd[pp, p], index.shape[1])
+    return sp.coo_matrix((vals, (index[pp].ravel(), index[p].ravel())), shape=(1 << n, 1 << n)).tocsr()
 
 
 def term_list_matrix(terms, n) -> sp.csr_matrix:

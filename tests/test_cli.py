@@ -41,6 +41,12 @@ class TestGraphGen:
         assert rows["is_tree"] == "1"
         assert all(rows.get(f"cycles_{k}", "0") == "0" for k in range(3, 9))
 
+    def test_single_vertex_tree(self, tmp_path):
+        assert main(["graph-gen", "--tree", "--n", "1", "--out-dir", str(tmp_path)]) == 0
+        rows = {r["key"]: r["value"] for r in read_csv(tmp_path / "graph_diagnostics.csv")}
+        assert rows["n"] == "1" and rows["edges"] == "0"
+        assert "expansion" not in rows
+
     def test_parity_error_exit_code(self, tmp_path, capsys):
         code = main(["graph-gen", "--n", "5", "--r", "3", "--out-dir", str(tmp_path)])
         assert code == 2

@@ -69,6 +69,28 @@ def test_config_round_trips(tmp_path, small_graph_file, argv):
     assert {k for k in cfg1 if cfg1[k] != cfg2[k]} == {"out_dir"}
 
 
+def test_config_with_equals_sign_is_read(tmp_path):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert main(["graph-gen", "--tree", "--n", "7", "--branching", "3", "--out-dir", str(d1)]) == 0
+    assert main(["graph-gen", f"--config={d1 / 'graph_gen_config.json'}", "--out-dir", str(d2)]) == 0
+    assert (d1 / "graph.json").read_bytes() == (d2 / "graph.json").read_bytes()
+    assert json.loads((d2 / "graph_gen_config.json").read_text())["branching"] == 3
+
+
+def test_config_without_path_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["graph-gen", "--config"])
+    assert exc.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n")
+    assert main(["graph-gen", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "error: config file" in capsys.readouterr().err
+
+
 def test_failed_run_writes_no_config(tmp_path):
     assert main(["graph-gen", "--n", "5", "--r", "3", "--out-dir", str(tmp_path)]) == 2
     assert os.listdir(tmp_path) == []

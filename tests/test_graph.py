@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -76,6 +77,27 @@ class TestConstruction:
             assert g.directed_edge_index(a, b) == idx
 
 
+PINNED_GRAPHS = {
+    (10, 3, 1): "61e5e86c4bdd0058b904f6a258ac1cc94f143ade26a4580c432528839f1ac550",
+    (16, 3, 0): "67ab3fafafbbf1f95130483373176c3d0917bdb38a5e372e2b87d1f95cb56122",
+    (16, 3, 1): "cbbe2f35cc9c6e0a6e64f729edb3fe99af671ec91f4cfa35877655297c0dd73b",
+    (16, 3, 2): "f98efc5bcdd57f8d1448ddb01ec34093d25eb755c62257f4ccfd3be0728dee43",
+    (16, 3, 3): "b5def4924932cc9bedb8a78e5587d1972b1e6d139002f9b89d8b845909784a1a",
+    (16, 3, 4): "5c29ed915af23d48c32cd092b9789628828afb15fc965e5a599d264ad859634a",
+    (16, 3, 5): "045b15a493276fe3ee43b2928dbc2e9ad1fb702eb81f96e9d5bf948b5b3d3258",
+    (16, 3, 6): "bc7bc4215865f0e5660c1fb663420737ff13499435d45dcc2197af6ba1c43eb3",
+    (40, 3, 0): "8e8b25e776802de288473acc6f5c450abc9bb4c8a65c06488eb82474c8cbf3a3",
+    (40, 3, 1): "47d75cb602939a2f53e559125b92857a60e007c2674bbbf14fbe38e9977c7f37",
+    (40, 3, 2): "1915de7765b311e7bd905f2af20e2bbd6858c65f4e3d9903baac93e6c436bf28",
+    (40, 3, 3): "4d2d37c5986d30a0cb2b9703261a0682bb8def00b1758a4ff6e68e4f6fcc8cb3",
+    (40, 3, 4): "618b7183c1acfe6fdab90e203bc2ea79cfb2ad442ebb5517b342e5045b28eadd",
+    (40, 3, 5): "c0f10a06c1214c7cc5e297997ec74cf1e38bab10bbe2c653ce5c82343e2ca5de",
+    (40, 3, 6): "70cd4f3a6e6a881d963be7a5824b3e5efdd42a4b4542f57be39e210784452b73",
+    (1000, 3, 0): "1f577d433336c738abf103f6954eceff511760c7df8441cdc7478abece48ec40",
+    (1000, 5, 0): "bd6b0678631eeea966a391f6fe084eda8fa25794c08b7bfe2b26fb1ba836b1c8",
+}
+
+
 class TestRandomRegular:
     def test_counts_and_degrees(self):
         g = random_regular(10, 3, seed=0)
@@ -111,6 +133,12 @@ class TestRandomRegular:
         mean = counts.mean()
         se = counts.std(ddof=1) / np.sqrt(len(counts))
         assert abs(mean - 4.0 / 3.0) <= 3 * se
+
+    def test_pinned_graphs_are_unchanged(self):
+        # SHA-256 of graph_to_json for the benchmark's input graphs (n = 10, 16, 40) and two large ones
+        for (n, r, seed), digest in PINNED_GRAPHS.items():
+            data = json.dumps(graph_to_json(random_regular(n, r, seed)))
+            assert hashlib.sha256(data.encode()).hexdigest() == digest, (n, r, seed)
 
 
 class TestTrees:
@@ -175,6 +203,10 @@ class TestExpansion:
     def test_matches_subset_oracle(self):
         for seed in (0, 4):
             g = random_regular(10, 3, seed=seed)
+            assert expansion_bruteforce(g) == expansion_oracle(g)
+        rng = np.random.default_rng(11)
+        trees = [Graph(n, [(int(rng.integers(v)), v) for v in range(1, n)]) for n in (2, 5, 9, 12)]
+        for g in [Graph(2, []), Graph(7, [])] + trees:
             assert expansion_bruteforce(g) == expansion_oracle(g)
 
     def test_positive_for_connected(self):

@@ -73,6 +73,33 @@ class TestExactDiagonalize:
             term_list_matrix([((1, 2), a + a.T)], 3)
 
 
+def dense_embedding(op, sites, n):
+    """Independent reference: op (x) identity on the other qubits, axes transposed into vertex order."""
+    k = len(sites)
+    full = np.kron(op, np.eye(2 ** (n - k)))
+    perm = list(np.argsort(list(sites) + [v for v in range(n) if v not in sites]))
+    return full.reshape((2,) * (2 * n)).transpose(perm + [n + p for p in perm]).reshape(1 << n, 1 << n)
+
+
+class TestTermListMatrix:
+    @pytest.mark.parametrize("n,sites", [(1, (0,)), (4, (2,)), (3, (2, 0)), (5, (3, 1)), (5, (4, 0, 2)),
+                                         (2, (1, 0)), (3, (1, 2, 0))])
+    def test_matches_dense_kron_construction(self, n, sites):
+        rng = np.random.default_rng(n + 10 * len(sites))
+        dim = 1 << len(sites)
+        terms = []
+        for _ in range(3):
+            op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            op[rng.random((dim, dim)) < 0.3] = 0
+            terms.append((tuple(int(v) for v in rng.permutation(sites)), op))
+        expected = np.zeros((1 << n, 1 << n), dtype=complex)
+        for sites_k, op in terms:
+            dense = dense_embedding(op, sites_k, n)
+            np.testing.assert_array_equal(term_list_matrix([(sites_k, op)], n).toarray(), dense)
+            expected = expected + dense
+        np.testing.assert_array_equal(term_list_matrix(terms, n).toarray(), expected)
+
+
 class TestEigenpairTail:
     """The 13-cycle TFIM goes through the Lanczos solver, the 8-vertex graph through
     the dense one. The two lowest levels are exactly degenerate at hx = 0 and split
