@@ -49,6 +49,7 @@ __all__ = [
     "messages_to_json",
     "messages_from_json",
     "bp_diagnostics_to_csv",
+    "save_messages",
 ]
 
 

@@ -9,15 +9,16 @@ single-threaded mode. Curves are emitted as CSV, objects as JSON. Exit codes:
 memory), 3 numerical failure (BP non-convergence is reported in a column, not
 treated as failure).
 
-``--threads`` is accepted by every subcommand. ``tfim-sweep`` runs its
-(hx, restart) jobs in that many processes; ``bp-run`` validates it (>= 1)
-and runs single-threaded; the other subcommands only record it.
+``--threads`` is accepted by every subcommand and must be >= 1. ``tfim-sweep``
+runs its (hx, restart) jobs in that many processes; the other subcommands run
+single-threaded and only record it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -96,18 +97,13 @@ def cmd_bp_run(args) -> None:
     g = graph.load_graph(args.graph)
     state = _build_state(g, args.state, args.beta, args.j, args.chi, args.seed)
     cfg = bp.BpConfig(max_steps=args.max_steps, rdm_tolerance=args.tol, damping=args.damping,
-                      init=args.init, init_seed=args.seed, workers=args.threads)
+                      init=args.init, init_seed=args.seed)
     msgs, diag = bp.run_bp(state, cfg)
     bp.bp_diagnostics_to_csv(diag, os.path.join(args.out_dir, "bp_diagnostics.csv"))
-    obs = bp._site_averages(diag.env)
     _write_json(os.path.join(args.out_dir, "bp_observables.json"), {
         "converged": diag.converged,
         "steps_run": diag.steps_run,
-        "mean_abs_z": obs.mean_abs_z,
-        "mean_x": obs.mean_x,
-        "mean_y": obs.mean_y,
-        "edge_entropy": obs.edge_entropy,
-        "edge_zz": obs.edge_zz,
+        **dataclasses.asdict(bp._site_averages(diag.env)),
     })
     if args.save_messages:
         bp.save_messages(msgs, os.path.join(args.out_dir, "bp_messages.json"))
@@ -119,11 +115,10 @@ def cmd_graphstate_check(args) -> None:
     msgs = bp.init_messages(state, args.init, args.seed)
     rows = []
     for step, (env, delta, _) in zip(range(1, args.steps + 1), bp.bp_iterate(state, msgs, args.damping)):
-        obs = bp._site_averages(env)
-        rows.append((step, obs.mean_abs_z, obs.mean_x, obs.mean_y, obs.edge_entropy, obs.edge_zz, delta))
+        rows.append((step, *dataclasses.astuple(bp._site_averages(env)), delta))
+    observables = [f.name for f in dataclasses.fields(bp.SiteAverages)]
     _write_csv(os.path.join(args.out_dir, "graphstate_check.csv"),
-               ["step", "mean_abs_z", "mean_x", "mean_y", "edge_entropy", "edge_zz", "max_rdm_trace_distance"],
-               rows)
+               ["step", *observables, "max_rdm_trace_distance"], rows)
 
 
 def cmd_sqrt_sweep(args) -> None:
@@ -352,14 +347,15 @@ def _apply_config_file(parser, argv):
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return argv
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = subparsers.choices.get(argv[0])
+    if command is None:
+        raise ValueError("--config must follow a subcommand")
     with open(path) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise ValueError(f"config file {path} does not hold a JSON object")
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = subparsers.choices.get(argv[0])
-    negatable = {a.dest for a in (command._actions if command else ())
-                 if isinstance(a, argparse.BooleanOptionalAction)}
+    negatable = {a.dest for a in command._actions if isinstance(a, argparse.BooleanOptionalAction)}
     extra = []
     for key, val in values.items():
         flag = "--" + key.replace("_", "-")
@@ -381,6 +377,8 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise ValueError("--threads must be >= 1")
         os.makedirs(args.out_dir, exist_ok=True)
         args.func(args)
         cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}

@@ -24,7 +24,9 @@ __all__ = [
     "build_tree",
     "cycle_graph",
     "grid_graph",
+    "is_connected",
     "is_tree",
+    "diameter",
     "count_cycles",
     "expansion_bruteforce",
     "compute_diagnostics",

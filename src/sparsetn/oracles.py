@@ -216,8 +216,7 @@ def classical_ising_mc(
             b = m * batches // n_meas
             site_batch[b] += spins_arr
             signed_batch[b] += spins_arr * (sign if sign != 0.0 else last_sign)
-            if len(edges):
-                edge_batch[b] += spins_arr[ea] * spins_arr[eb]
+            edge_batch[b] += spins_arr[ea] * spins_arr[eb]
             batch_counts[b] += 1
 
     def _stats(batch):
@@ -228,11 +227,7 @@ def classical_ising_mc(
 
     site_means, site_errors = _stats(site_batch)
     signed_means, signed_errors = _stats(signed_batch)
-    if len(edges):
-        edge_means, edge_errors = _stats(edge_batch)
-    else:
-        edge_means = np.zeros(0)
-        edge_errors = np.zeros(0)
+    edge_means, edge_errors = _stats(edge_batch)
     return McResult(
         site_means=site_means,
         site_errors=site_errors,

@@ -44,6 +44,7 @@ __all__ = [
     "energy_gradient",
     "variational_prepare",
     "sweep",
+    "run_sweep_point",
 ]
 
 

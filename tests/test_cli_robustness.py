@@ -144,3 +144,25 @@ def test_tfim_sweep_rejects_zero_threads(tmp_path, small_graph_file):
     code = main(["tfim-sweep", "--graph", small_graph_file, "--hx-grid", "1.0", "--t-var", "1",
                  "--threads", "0", "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("tail", [[], ["graph-gen"]], ids=["alone", "before-subcommand"])
+def test_config_before_subcommand_exits_2(tmp_path, capsys, tail):
+    assert main(["graph-gen", "--tree", "--n", "7", "--out-dir", str(tmp_path)]) == 0
+    assert main(["--config", str(tmp_path / "graph_gen_config.json")] + tail) == 2
+    assert "error: --config must follow a subcommand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph-gen", "--tree", "--n", "7"],
+    ["bp-run", "--graph", "{graph}"],
+    ["graphstate-check", "--graph", "{graph}", "--steps", "1"],
+    ["sqrt-sweep", "--graph", "{graph}", "--betas", "0.4", "--mc-sweeps", "300", "--mc-burn-in", "100"],
+    ["var-prep", "--graph", "{graph}", "--t-var", "1"],
+], ids=lambda argv: argv[0])
+def test_zero_threads_exits_2(tmp_path, capsys, small_graph_file, argv):
+    out = tmp_path / "out"
+    code = main([small_graph_file if a == "{graph}" else a for a in argv] + ["--threads", "0", "--out-dir", str(out)])
+    assert code == 2
+    assert "error: --threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,14 @@ class TestMonteCarlo:
         g = p2()
         with pytest.raises(ValueError):
             classical_ising_mc(g, 0.5, 1.0, sweeps=100, burn_in=100, seed=0)
+
+    def test_edgeless_graph(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc = classical_ising_mc(Graph(5, []), 0.5, 1.0, sweeps=600, burn_in=100, seed=4)
+        assert mc.edge_correlations.shape == mc.edge_errors.shape == (0,)
+        assert np.all(np.isfinite(mc.site_means)) and np.all(np.isfinite(mc.site_errors))
+        assert np.isfinite(mc.mean_abs_z)
 
     @pytest.mark.parametrize("graph,beta,j,seed", [
         (random_regular(10, 3, seed=4), 0.0, 1.0, 1),
