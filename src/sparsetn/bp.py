@@ -124,12 +124,8 @@ def init_messages(state: TensorNetworkState, init: str = "identity", seed: int =
     return msgs
 
 
-def bp_step(state: TensorNetworkState, msgs: dict, damping: float = 0.0, workers: int = 1) -> dict:
-    """One synchronous update: all new messages computed from the input set.
-
-    ``workers`` is accepted for compatibility and has no effect: updates run
-    in one thread, since a thread pool measured no gain at these tensor sizes.
-    """
+def bp_step(state: TensorNetworkState, msgs: dict, damping: float = 0.0) -> dict:
+    """One synchronous update: all new messages computed from the input set."""
     return Environment(state, msgs).step(damping).msgs
 
 
@@ -146,9 +142,12 @@ def rdm(state: TensorNetworkState, msgs: dict, sites) -> Rdm:
     k = len(sites)
     if k not in (1, 2, 3):
         raise ValueError("rdm supports 1, 2 or 3 sites")
+    g = state.graph
+    for s in sites:
+        if not 0 <= s < g.n:
+            raise ValueError(f"site {s} out of range for n={g.n}")
     if len(set(sites)) != k:
         raise ValueError("sites must be distinct")
-    g = state.graph
     for u, v in zip(sites, sites[1:]):
         if not g.has_edge(u, v):
             raise ValueError("sites must form a connected path in the graph")

@@ -66,8 +66,10 @@ def _grid(spec: str):
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = int(round((stop - start) / step))
-        vals = [start + k * step for k in range(count + 1)]
-        return [round(v, 12) for v in vals if v <= stop + 1e-9]
+        vals = [round(v, 12) for v in (start + k * step for k in range(count + 1)) if v <= stop + 1e-9]
+        if not vals:
+            raise ValueError(f"grid '{spec}' has no values")
+        return vals
     return [float(x) for x in spec.split(",")]
 
 

@@ -122,6 +122,8 @@ class _Layout:
     def terms(self, h):
         """Edge terms in edge order, vertex terms per site (zero where none), and which terms exist."""
         g, d, m = self.graph, self.phys_dim, len(self.graph.edges)
+        if h.graph != g:
+            raise ValueError("hamiltonian and state live on different graphs")
         if h.phys_dim != d:
             raise ValueError(f"hamiltonian has phys_dim {h.phys_dim} but the state has {d}")
         edge_ops = np.array([h.edge_terms[e] for e in g.edges], dtype=complex).reshape(m, d * d, d * d)

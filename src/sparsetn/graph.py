@@ -289,7 +289,11 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    return Graph(int(data["n"]), [(int(a), int(b)) for a, b in data["edges"]])
+    """The graph of a ``{"n": ..., "edges": [[a, b], ...]}`` dict; ``n`` and every vertex id must be JSON integers."""
+    for x in [data["n"]] + [v for e in data["edges"] for v in e]:
+        if type(x) is not int:
+            raise ValueError(f"graph JSON value {x!r} is not an integer")
+    return Graph(data["n"], [tuple(e) for e in data["edges"]])
 
 
 def save_graph(g: Graph, path) -> None:

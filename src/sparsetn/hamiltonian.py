@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, graph_from_json, graph_to_json
+from .graph import Graph
 from .tensor import PAULI_X, PAULI_Z
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "sqrt_parent_hamiltonian",
     "MODELS",
     "build_model",
-    "model_to_json",
-    "model_from_json",
 ]
 
 
@@ -108,10 +106,3 @@ def build_model(name: str, g: Graph, params: dict) -> Hamiltonian:
     builder, keys = MODELS[name]
     return builder(g, *(float(params[k]) for k in keys))
 
-
-def model_to_json(name: str, params: dict, g: Graph) -> dict:
-    return {"model": name, "params": dict(params), "graph": graph_to_json(g)}
-
-
-def model_from_json(data: dict) -> Hamiltonian:
-    return build_model(data["model"], graph_from_json(data["graph"]), data.get("params", {}))

@@ -120,8 +120,6 @@ class SweepPoint:
 
 def energy(state: TensorNetworkState, msgs: dict, h: Hamiltonian) -> float:
     """Sum of normalized local term expectations under the given messages."""
-    if h.graph != state.graph:
-        raise ValueError("hamiltonian and state live on different graphs")
     env = Environment(state, msgs)
     return env.energy(env.lay.terms(h))[0]
 
@@ -133,40 +131,25 @@ def energy_gradient(state: TensorNetworkState, msgs: dict, h: Hamiltonian):
 
 
 def _build_initial_state(g: Graph, cfg: VarConfig, phys_dim: int = 2) -> TensorNetworkState:
+    """The init spec's state, zero-padded to bond dimension ``cfg.chi`` and perturbed by complex Gaussian noise."""
     init = cfg.init
     if isinstance(init, ProductInit):
         base = product_state(g, np.asarray(init.vector, dtype=complex))
     elif isinstance(init, SqrtInit):
         base = square_root_state(g, init.beta, init.j)
     elif isinstance(init, RandomInit):
-        return _add_noise(random_state(g, cfg.chi, init.seed, phys_dim), cfg)
+        base = random_state(g, cfg.chi, init.seed, phys_dim)
     else:
         raise ValueError(f"unsupported init spec {init!r}")
-    return _add_noise(_embed_chi(base, cfg.chi), cfg)
-
-
-def _embed_chi(state: TensorNetworkState, chi: int) -> TensorNetworkState:
-    """Zero-pad every virtual leg up to bond dimension chi."""
-    cur = max(state.bond_dims.values(), default=1)
-    if chi < cur:
-        raise ValueError(f"requested chi {chi} below the initial state's bond dimension {cur}")
-    tensors = []
-    for t in state.site_tensors:
-        padded = np.zeros((t.shape[0],) + (chi,) * (t.ndim - 1), dtype=complex)
-        padded[tuple(slice(0, s) for s in t.shape)] = t
-        tensors.append(padded)
-    return state.with_site_tensors(tensors)
-
-
-def _add_noise(state: TensorNetworkState, cfg: VarConfig) -> TensorNetworkState:
-    if cfg.init_noise == 0:
-        return state
-    rng = np.random.default_rng(cfg.noise_seed)
-    tensors = []
-    for t in state.site_tensors:
-        noise = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-        tensors.append(t + cfg.init_noise * noise)
-    return state.with_site_tensors(tensors)
+    cur = max(base.bond_dims.values(), default=1)
+    if cfg.chi < cur:
+        raise ValueError(f"requested chi {cfg.chi} below the initial state's bond dimension {cur}")
+    tensors = [np.pad(t, [(0, 0)] + [(0, cfg.chi - s) for s in t.shape[1:]]) for t in base.site_tensors]
+    if cfg.init_noise:
+        rng = np.random.default_rng(cfg.noise_seed)
+        tensors = [t + cfg.init_noise * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
+                   for t in tensors]
+    return base.with_site_tensors(tensors)
 
 
 def variational_prepare(g: Graph, h: Hamiltonian, cfg: VarConfig) -> VarTrace:
@@ -177,8 +160,6 @@ def variational_prepare(g: Graph, h: Hamiltonian, cfg: VarConfig) -> VarTrace:
     Site tensors and messages stay stacked arrays from step to step, and the
     Hamiltonian's terms are stacked once.
     """
-    if h.graph != g:
-        raise ValueError("hamiltonian and state live on different graphs")
     state = _build_initial_state(g, cfg, h.phys_dim)
     env = Environment(state, init_messages(state, "identity"))
     terms = env.lay.terms(h)
@@ -244,7 +225,7 @@ def run_sweep_point(
 ) -> SweepPoint:
     seed = _derived_seed(base_seed, i_hx, restart)
     trace = variational_prepare(g, h, dataclasses.replace(cfg, noise_seed=seed))
-    _, diag = run_bp(trace.final_state, BpConfig(max_steps=100, rdm_tolerance=1e-8), msgs=trace.final_messages)
+    _, diag = run_bp(trace.final_state, BpConfig(), msgs=trace.final_messages)
     env = diag.env
     obs = _site_averages(env)
     e_val = env.energy(env.lay.terms(h))[0]

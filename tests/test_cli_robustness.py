@@ -166,3 +166,23 @@ def test_zero_threads_exits_2(tmp_path, capsys, small_graph_file, argv):
     assert code == 2
     assert "error: --threads must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (["sqrt-sweep", "--betas", "1:0:0.1", "--mc-sweeps", "300", "--mc-burn-in", "100"], "1:0:0.1"),
+    (["tfim-sweep", "--hx-grid", "4:1:0.5", "--t-var", "1"], "4:1:0.5"),
+], ids=["sqrt-sweep", "tfim-sweep"])
+def test_empty_grid_exits_2(tmp_path, capsys, small_graph_file, argv, spec):
+    code = main(argv[:1] + ["--graph", small_graph_file] + argv[1:] + ["--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"error: grid '{spec}' has no values" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_config.json"))
+
+
+def test_non_integer_graph_json_exits_2(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"n": 4.7, "edges": [[0.9, 1], [1, 2.2], [2, 3]]}))
+    out = tmp_path / "out"
+    assert main(["bp-run", "--graph", str(gpath), "--out-dir", str(out)]) == 2
+    assert "error: graph JSON value 4.7 is not an integer" in capsys.readouterr().err
+    assert not list(out.glob("*_config.json"))

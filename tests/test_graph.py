@@ -252,3 +252,13 @@ class TestSerialization:
         data = graph_to_json(g)
         assert data == {"n": 3, "edges": [[0, 2], [1, 2]]}
         assert graph_from_json(json.loads(json.dumps(data))) == g
+
+    @pytest.mark.parametrize("data,bad", [
+        ({"n": 4.7, "edges": [[0.9, 1], [1, 2.2], [2, 3]]}, "4.7"),
+        ({"n": 4, "edges": [[0, 1], [1, 2.0]]}, "2.0"),
+        ({"n": True, "edges": []}, "True"),
+        ({"n": 3, "edges": [[0, False]]}, "False"),
+    ])
+    def test_rejects_non_integer_values(self, data, bad):
+        with pytest.raises(ValueError, match=rf"^graph JSON value {bad} is not an integer$"):
+            graph_from_json(json.loads(json.dumps(data)))

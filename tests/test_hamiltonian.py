@@ -4,9 +4,8 @@ import pytest
 from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
 from sparsetn.hamiltonian import (
     Hamiltonian,
+    build_model,
     mixed_field_ising,
-    model_from_json,
-    model_to_json,
     sqrt_parent_hamiltonian,
     transverse_field_ising,
 )
@@ -124,18 +123,17 @@ class TestValidation:
             Hamiltonian(graph=g, edge_terms={(0, 1): zz}, vertex_terms={})
 
 
-class TestModelJson:
-    def test_round_trip_mixed_field(self):
+class TestBuildModel:
+    def test_mixed_field(self):
         g = random_regular(6, 3, seed=9)
-        data = model_to_json("mixed_field_ising", {"jzz": -1.0, "hx": -2.0, "hz": -0.5}, g)
-        h = model_from_json(data)
+        h = build_model("mixed_field_ising", g, {"jzz": -1.0, "hx": -2.0, "hz": -0.5})
         np.testing.assert_allclose(h.edge_terms[g.edges[0]], -np.kron(PAULI_Z, PAULI_Z))
 
-    def test_round_trip_tfim(self):
+    def test_tfim(self):
         g = cycle_graph(4)
-        h = model_from_json(model_to_json("tfim", {"hx": 2.5}, g))
+        h = build_model("tfim", g, {"hx": 2.5})
         np.testing.assert_allclose(h.vertex_terms[0], -2.5 * PAULI_X)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
-            model_from_json(model_to_json("heisenberg", {}, p2()))
+            build_model("heisenberg", p2(), {})

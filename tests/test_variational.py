@@ -74,6 +74,20 @@ class TestEnergy:
         with pytest.raises(ValueError):
             energy(s, init_messages(s, "identity"), transverse_field_ising(g2, 1.0))
 
+    @pytest.mark.parametrize("h_graph,s_graph", [
+        (cycle_graph(3), Graph(5, [(0, 1), (0, 2), (1, 2)])),
+        (cycle_graph(5), cycle_graph(4)),
+    ], ids=["extra-isolated-vertices", "longer-cycle"])
+    def test_graph_mismatch_is_named_on_every_entry_point(self, h_graph, s_graph):
+        h = transverse_field_ising(h_graph, 1.0)
+        s = plus_state(s_graph)
+        msgs = init_messages(s, "identity")
+        message = r"^hamiltonian and state live on different graphs$"
+        for run in (lambda: energy(s, msgs, h), lambda: energy_gradient(s, msgs, h),
+                    lambda: variational_prepare(s_graph, h, VarConfig(t_var=1))):
+            with pytest.raises(ValueError, match=message):
+                run()
+
     def test_phys_dim_mismatch_is_named(self):
         g = cycle_graph(4)
         h = Hamiltonian(graph=g, edge_terms={e: np.eye(9) for e in g.edges}, phys_dim=3)
@@ -215,6 +229,14 @@ class TestVariationalPrepare:
         for init in (SqrtInit(beta=0.2), RandomInit(seed=5)):
             trace = variational_prepare(g, h, VarConfig(t_var=2, chi=2, init=init, noise_seed=1))
             assert len(trace.energies) == 2
+
+    def test_init_errors_are_named(self):
+        g = cycle_graph(4)
+        h = transverse_field_ising(g, 1.0)
+        with pytest.raises(ValueError, match=r"^requested chi 1 below the initial state's bond dimension 2$"):
+            variational_prepare(g, h, VarConfig(t_var=1, chi=1, init=SqrtInit(beta=0.5)))
+        with pytest.raises(ValueError, match=r"^unsupported init spec 'plus'$"):
+            variational_prepare(g, h, VarConfig(t_var=1, init="plus"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
