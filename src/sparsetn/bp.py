@@ -24,7 +24,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -176,18 +176,22 @@ def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0):
     ``Environment`` of the new message set, the largest trace distance between
     a two-site RDM on an edge before and after the step, and the largest
     Frobenius change of a message. Each message set's gates are contracted
-    once and give both its edge RDMs and the next messages.
+    once and give both its edge RDMs and the next messages. A message or edge
+    RDM that loses positivity in step k raises ``RuntimeError("BP step k: ...")``;
+    so does one of the edge RDMs of ``msgs`` themselves, under step 1.
     """
-    edges = state.graph.edges
-    env = Environment(state, msgs)
-    prev = env.edge_rdms()
-    while True:
-        new = env.step(damping)
+    edges, env, prev = state.graph.edges, Environment(state, msgs), None
+    for k in count(1):
+        try:
+            new = env.step(damping)
+            if prev is None:
+                prev = env.edge_rdms()
+            cur = new.edge_rdms()
+        except RuntimeError as err:
+            raise RuntimeError(f"BP step {k}: {err}") from err
         msg_delta = float(np.linalg.norm(new.msg_stack - env.msg_stack, axis=(1, 2)).max(initial=0.0))
-        env = new
-        cur = env.edge_rdms()
         rdm_delta = _trace_distance(prev, cur) if edges else 0.0
-        prev = cur
+        env, prev = new, cur
         yield env, rdm_delta, msg_delta
 
 

@@ -11,9 +11,13 @@ over the shared bond. A term's value is tr(block h) / tr(block), and its
 gradient at fixed messages is the ket layer applied to (h - e) / tr(block).
 
 All of it is batched. Bonds are zero-padded to the largest bond dimension,
-which changes no contraction, and the site tensors of each vertex degree are
+which changes no contraction, and the site tensors of each vertex degree r are
 stacked into one ``(G, d, chi, ..., chi)`` array; messages and gates are
-arrays indexed by directed edge. Each stack is built once, on first use.
+arrays indexed by directed edge. A group's ket layers are leg-stacked rows: r
+copies of the stack, copy l with leg l moved first, dressed together by r - 1
+contiguous matmuls. Gates, blocks, environments and gradients are reshaped
+batched matmuls, so a group costs a fixed number of numpy calls whatever r is.
+Each stack is built once, on first use.
 """
 
 from __future__ import annotations
@@ -52,26 +56,29 @@ def _pad(arrays, shape):
     return out
 
 
-def _dress(t, msgs, legs):
-    """Absorb the stacked messages ``msgs[l]`` on leg ``l`` of every tensor of the stack ``t``, for ``l`` in ``legs``."""
-    for l in legs:
-        m = msgs[l].reshape((len(t),) + (1,) * (t.ndim - 3) + msgs[l].shape[1:])
-        t = (t.swapaxes(2 + l, -1) @ m).swapaxes(2 + l, -1)
-    return t
+def _dress(t, msgs, axis):
+    """Absorb ``msgs[j]`` on axis ``axis + j`` of every tensor of the stack ``t``, for j in order.
+
+    Each leg in turn is rotated last and absorbed by one contiguous ``(B, rest, chi) @ (B, chi, chi)`` matmul.
+    """
+    n, shape, lead = len(t), t.shape, int(np.prod(t.shape[1:axis]))
+    for m in msgs:
+        t = t.reshape(n, lead, m.shape[1], -1).swapaxes(2, 3).reshape(n, -1, m.shape[1]) @ m
+    # the absorbed legs now come last, in order; the legs that followed them move back behind them
+    return t.reshape(n, lead, -1, int(np.prod(shape[axis:axis + len(msgs)]))).swapaxes(2, 3).reshape(shape)
 
 
-def _close(ket, t, open_legs):
-    """Contract each ket layer of a stack with the conjugate of ``t`` over every leg not in ``open_legs``."""
-    k, r = len(open_legs), t.ndim - 2
-    axes = [0, 1] + [2 + l for l in range(r) if l not in open_legs] + [2 + l for l in open_legs]
-    ket = ket.transpose(axes)
-    bra = t.conj().transpose(axes)
-    n, d = t.shape[:2]
-    opened = ket.shape[ket.ndim - k:] if k else ()
-    o = int(np.prod(opened))
-    gate = np.einsum("gpcx,gqcy->gpqxy", ket.reshape(n, d, -1, o), bra.reshape(n, d, -1, o))
-    perm = [0, 1, 2] + [ax for l in range(k) for ax in (3 + l, 3 + k + l)]
-    return gate.reshape((n, d, d) + opened + opened).transpose(perm)
+def _close(ket, bra, k):
+    """Contract each ket layer of a stack with the conjugated layer ``bra`` over all but the first ``k`` bond axes.
+
+    Both are ``(B, d, open..., closed...)``. Axes of the result: ket phys, bra phys, then a (ket, bra) bond pair
+    per open leg.
+    """
+    n, d, opened = bra.shape[0], bra.shape[1], bra.shape[2:2 + k]
+    rows = d * int(np.prod(opened))
+    gate = ket.reshape(n, rows, -1) @ bra.reshape(n, rows, -1).swapaxes(1, 2)
+    perm = [0, 1, 2 + k] + [ax for l in range(k) for ax in (2 + l, 3 + k + l)]
+    return gate.reshape((n, d) + opened + (d,) + opened).transpose(perm)
 
 
 def site_gate(t, in_msgs, open_legs=()):
@@ -80,16 +87,9 @@ def site_gate(t, in_msgs, open_legs=()):
     Axes of the result: ket phys, bra phys, then a (ket, bra) bond pair per
     open leg, in the order given.
     """
-    msgs = [None if m is None else m[None] for m in in_msgs]
     closed = [l for l in range(len(in_msgs)) if l not in open_legs]
-    return _close(_dress(t[None], msgs, closed), t[None], tuple(open_legs))[0]
-
-
-def _apply(ket, l, env):
-    """Contract each ket layer of a stack, open on leg ``l``, with env (ket phys, ket bond, bra phys, bra bond)."""
-    legs = list(range(3, ket.ndim + 1))
-    out = [0, 2] + [ket.ndim + 1 if k == 3 + l else k for k in legs]
-    return np.einsum(ket, [0, 1] + legs, env, [0, 1, 3 + l, 2, ket.ndim + 1], out)
+    t = t[None].transpose([0, 1] + [2 + l for l in open_legs] + [2 + l for l in closed])
+    return _close(_dress(t, [in_msgs[l][None] for l in closed], 2 + len(open_legs)), t.conj(), len(open_legs))[0]
 
 
 class _Layout:
@@ -104,16 +104,20 @@ class _Layout:
         by_degree = {}
         for v in range(graph.n):
             by_degree.setdefault(graph.degree(v), []).append(v)
-        # per group: its vertices, and per leg the directed-edge ids of the incoming messages
-        self.groups = [(np.array(vs), [np.array([graph.directed_edge_index(graph.neighbors(v)[l], v) for v in vs])
-                                       for l in range(r)]) for r, vs in by_degree.items()]
+        # per group: its vertices; its degree r; per closed position of the leg-stacked rows (copy l has leg l
+        # moved first), the incoming message ids; and the rows' gate targets
+        self.groups = []
+        for r, vs in by_degree.items():
+            inc = np.array([[graph.directed_edge_index(u, v) for u in graph.neighbors(v)] for v in vs], dtype=int).T
+            closed = [inc[[j + (j >= l) for l in range(r)]].ravel() for j in range(r - 1)]
+            self.groups.append((np.array(vs), r, closed, inc.ravel() ^ 1))
         self.group_of, self.index_of = np.zeros(graph.n, dtype=int), np.zeros(graph.n, dtype=int)
-        for gi, (vs, _) in enumerate(self.groups):
+        for gi, (vs, *_) in enumerate(self.groups):
             self.group_of[vs], self.index_of[vs] = gi, np.arange(len(vs))
 
     def stack(self, tensors):
         """Per group, the zero-padded site tensors stacked."""
-        return [_pad([tensors[v] for v in vs], (self.phys_dim,) + (self.chi,) * len(inc)) for vs, inc in self.groups]
+        return [_pad([tensors[v] for v in vs], (self.phys_dim,) + (self.chi,) * r) for vs, r, *_ in self.groups]
 
     def unstack(self, stacks) -> list:
         """Per-vertex tensors, in vertex order and at their own bond dimensions, of per-group stacks."""
@@ -133,9 +137,7 @@ class _Layout:
         return edge_ops, vert_ops, present
 
 
-@lru_cache(maxsize=16)
-def _layout(graph, shapes) -> _Layout:
-    return _Layout(graph, shapes)
+_layout = lru_cache(maxsize=16)(_Layout)
 
 
 class Environment:
@@ -161,12 +163,17 @@ class Environment:
 
     @cached_property
     def _kets(self):
-        """Per group, the stacked ket layers open on each leg ``l``, then the one dressed on every leg."""
+        """Per group: the conjugated rows (the first G are the conjugated stack), their ket layers, the full layer."""
         kets = []
-        for (_, inc), s in zip(self.lay.groups, self.stacks):
-            msgs = [self.msg_stack[ids] for ids in inc]
-            open_l = [_dress(s, msgs, [k for k in range(len(inc)) if k != l]) for l in range(len(inc))]
-            kets.append(open_l + [_dress(open_l[0], msgs, [0]) if inc else s])
+        for (vs, r, closed, targets), s in zip(self.lay.groups, self.stacks):
+            if not r:
+                kets.append((s.conj(), None, s))
+                continue
+            rows = np.stack([np.moveaxis(s, 2 + l, 2) for l in range(r)]).reshape((len(targets),) + s.shape[1:])
+            ket = _dress(rows, [self.msg_stack[ids] for ids in closed], 3)
+            # the leg-0 block keeps the stack's axis order; its open leg is absorbed last
+            full = _dress(ket[:len(vs)], [self.msg_stack[targets[:len(vs)] ^ 1]], 2)
+            kets.append((rows.conj(), ket, full))
         return kets
 
     @cached_property
@@ -174,9 +181,9 @@ class Environment:
         """(2m, d, d, chi, chi) gates, indexed by directed edge."""
         d, chi = self.lay.phys_dim, self.lay.chi
         gates = np.empty((len(self.msg_stack), d, d, chi, chi), dtype=complex)
-        for (_, inc), s, kets in zip(self.lay.groups, self.stacks, self._kets):
-            for l, ids in enumerate(inc):
-                gates[ids ^ 1] = _close(kets[l], s, (l,))
+        for (_, r, _, targets), (bra, ket, _) in zip(self.lay.groups, self._kets):
+            if r:
+                gates[targets] = _close(ket, bra, 1)
         return gates
 
     @cached_property
@@ -184,16 +191,17 @@ class Environment:
         """(n, d, d) one-site blocks in vertex order."""
         d = self.lay.phys_dim
         blocks = np.empty((self.lay.graph.n, d, d), dtype=complex)
-        for (vs, _), kets, s in zip(self.lay.groups, self._kets, self.stacks):
-            blocks[vs] = _close(kets[-1], s, ())
+        for (vs, *_), (bra, _, full) in zip(self.lay.groups, self._kets):
+            blocks[vs] = _close(full, bra[:len(vs)], 0)
         return blocks
 
     @cached_property
     def edge_blocks(self):
         """(m, d^2, d^2) two-site blocks in edge order, the smaller vertex most significant."""
-        d, m = self.lay.phys_dim, len(self.lay.graph.edges)
-        pair = self._gates.reshape((m, 2) + self._gates.shape[1:])
-        return np.einsum("epqxy,ersxy->eprqs", pair[:, 0], pair[:, 1]).reshape(m, d * d, d * d)
+        d, chi, m = self.lay.phys_dim, self.lay.chi, len(self.lay.graph.edges)
+        pair = self._gates.reshape(m, 2, d * d, chi * chi)
+        blocks = pair[:, 0] @ pair[:, 1].swapaxes(1, 2)
+        return blocks.reshape(m, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(m, d * d, d * d)
 
     def step(self, damping: float = 0.0) -> "Environment":
         """The environment of the same site tensors under the next synchronous message set."""
@@ -226,8 +234,7 @@ class Environment:
         site tensors at fixed messages: each term adds the ket layer applied to (h - e) / tr(block).
         """
         edge_ops, vert_ops, present = terms
-        g, d = self.lay.graph, self.lay.phys_dim
-        m = len(g.edges)
+        g, d, chi, m = self.lay.graph, self.lay.phys_dim, self.lay.chi, len(self.lay.graph.edges)
         edge, site = self.edge_blocks, self.site_blocks
         norms = np.concatenate([np.trace(edge, axis1=1, axis2=2).real, np.trace(site, axis1=1, axis2=2).real])
         bad = np.flatnonzero(present & (norms <= 0))
@@ -242,15 +249,18 @@ class Environment:
             return total, None
         op4 = ((edge_ops - values[:m, None, None] * np.eye(d * d)) / norms[:m, None, None]).reshape(m, d, d, d, d)
         vert_ops = (vert_ops - values[m:, None, None] * np.eye(d)) / norms[m:, None, None]
-        # per directed edge i -> j: the term as (bra i, bra j, ket i, ket j), then the environment of site i
-        ops = np.stack([op4, op4.transpose(0, 2, 1, 4, 3)], axis=1).reshape((2 * m,) + op4.shape[1:])
-        envs = np.einsum("kuvxy,kqvpu->kpxqy", self._gates[np.arange(2 * m) ^ 1], ops)
+        # per directed edge i -> j: the term with rows (bra i, ket i) and columns (ket j, bra j); times the gate
+        # of j -> i it is the environment of site i, rows (bra phys, bra bond) and columns (ket phys, ket bond)
+        ops = np.stack([op4.transpose(0, 1, 3, 4, 2), op4.transpose(0, 2, 4, 3, 1)], 1).reshape(2 * m, d * d, d * d)
+        envs = ops @ self._gates[np.arange(2 * m) ^ 1].reshape(2 * m, d * d, chi * chi)
+        envs = envs.reshape(2 * m, d, d, chi, chi).transpose(0, 1, 4, 2, 3).reshape(2 * m, d * chi, d * chi)
         grads = []
-        for (vs, inc), kets in zip(self.lay.groups, self._kets):
-            full = kets[-1]
+        for (vs, r, _, targets), (_, ket, full) in zip(self.lay.groups, self._kets):
             grad = np.zeros_like(full)
-            for l, ids in enumerate(inc):
-                grad += _apply(kets[l], l, envs[ids ^ 1])
+            if r:
+                rows = (envs[targets] @ ket.reshape(len(ket), d * chi, -1)).reshape((r,) + full.shape)
+                for l, block in enumerate(rows):
+                    grad += np.moveaxis(block, 2, 2 + l)
             grad += (vert_ops[vs] @ full.reshape(len(vs), d, -1)).reshape(full.shape)
             grads.append(grad)
         return total, grads

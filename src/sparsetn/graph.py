@@ -290,6 +290,11 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(data: dict) -> Graph:
     """The graph of a ``{"n": ..., "edges": [[a, b], ...]}`` dict; ``n`` and every vertex id must be JSON integers."""
+    if type(data) is not dict or "n" not in data or type(data.get("edges")) is not list:
+        raise ValueError('graph JSON needs an object with "n" and an "edges" list')
+    for e in data["edges"]:
+        if type(e) is not list or len(e) != 2:
+            raise ValueError(f"graph JSON edge {e!r} is not a 2-element list")
     for x in [data["n"]] + [v for e in data["edges"] for v in e]:
         if type(x) is not int:
             raise ValueError(f"graph JSON value {x!r} is not an integer")

@@ -101,10 +101,10 @@ def run_bp_deltas(state, msgs, steps):
     out = []
     for _ in range(steps):
         new_msgs = bp_step(state, msgs)
-        msg_delta = max(float(np.linalg.norm(new - msgs[key])) for key, new in new_msgs.items())
+        msg_delta = max((float(np.linalg.norm(new - msgs[key])) for key, new in new_msgs.items()), default=0.0)
         msgs = new_msgs
         cur = {e: rdm(state, msgs, e) for e in edges}
-        out.append((max(trace_distance(prev[e], cur[e]) for e in edges), msg_delta))
+        out.append((max((trace_distance(prev[e], cur[e]) for e in edges), default=0.0), msg_delta))
         prev = cur
     return out
 

@@ -140,6 +140,12 @@ class TestRunBp:
         _, diag2 = run_bp(s, BpConfig(max_steps=200, rdm_tolerance=1e-10), msgs=msgs)
         assert diag2.steps_run <= 2
 
+    def test_failures_name_their_step(self):
+        s = random_state(random_regular(12, 3, seed=2), 2, seed=5)
+        dead = {key: np.zeros_like(m) for key, m in init_messages(s).items()}
+        with pytest.raises(RuntimeError, match=r"^BP step 1: message 0->\d+ lost positivity \(trace=0\.0\)$"):
+            run_bp(s, BpConfig(max_steps=5), msgs=dead)
+
     @pytest.mark.parametrize("state", [
         square_root_state(random_regular(20, 3, seed=8), 0.4, 1.0),
         random_state(grid_graph(3, 4), 3, seed=6),  # degrees 2, 3 and 4

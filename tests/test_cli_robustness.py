@@ -180,9 +180,14 @@ def test_empty_grid_exits_2(tmp_path, capsys, small_graph_file, argv, spec):
 
 
 def test_non_integer_graph_json_exits_2(tmp_path, capsys):
-    gpath = tmp_path / "g.json"
-    gpath.write_text(json.dumps({"n": 4.7, "edges": [[0.9, 1], [1, 2.2], [2, 3]]}))
-    out = tmp_path / "out"
-    assert main(["bp-run", "--graph", str(gpath), "--out-dir", str(out)]) == 2
-    assert "error: graph JSON value 4.7 is not an integer" in capsys.readouterr().err
-    assert not list(out.glob("*_config.json"))
+    for data, error in [
+        ({"n": 4.7, "edges": [[0.9, 1], [1, 2.2], [2, 3]]}, "graph JSON value 4.7 is not an integer"),
+        ({"edges": [[0, 1]]}, 'graph JSON needs an object with "n" and an "edges" list'),
+        ({"n": 4, "edges": [5]}, "graph JSON edge 5 is not a 2-element list"),
+    ]:
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["bp-run", "--graph", str(gpath), "--out-dir", str(out)]) == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not list(out.glob("*_config.json"))

@@ -121,13 +121,26 @@ def test_failures_name_the_message_or_sites():
 
 # Groups of many vertices: a random 3-regular graph is one group per bond
 # dimension, a 4x5 grid has three (degrees 2, 3 and 4), and vertex terms sit on
-# every third site only.
-GROUPED = [("regular", 2, 0), ("regular", 3, 1), ("grid", 2, 2)]
+# every third site only. High degrees: the star K_{1,6} (degrees 6 and 1) and
+# random 5-regular graphs on 6, 8 and 10 vertices (n = 6 + 2 (seed mod 3)).
+# No edges: seven isolated vertices, with no messages and no gates.
+GROUPED = [("regular", 2, 0), ("regular", 3, 1), ("grid", 2, 2), ("star", 2, 3),
+           ("regular5", 1, 3), ("regular5", 2, 10), ("regular5", 2, 8), ("edgeless", 1, 4)]
+GROUP_SHAPES = {"regular": 1, "grid": 3, "star": 2, "regular5": 1, "edgeless": 1}
 
 
 def grouped_state(kind, chi, seed):
     rng = np.random.default_rng(seed)
-    g = random_regular(40, 3, seed=seed) if kind == "regular" else grid_graph(4, 5)
+    if kind == "regular":
+        g = random_regular(40, 3, seed=seed)
+    elif kind == "regular5":
+        g = random_regular(6 + 2 * (seed % 3), 5, seed=seed)
+    elif kind == "star":
+        g = Graph(7, [(0, v) for v in range(1, 7)])
+    elif kind == "edgeless":
+        g = Graph(7, [])
+    else:
+        g = grid_graph(4, 5)
     tensors = []
     for v in range(g.n):
         shape = (2,) + (chi,) * g.degree(v)
@@ -146,7 +159,7 @@ def test_grouped_inputs_have_large_groups(kind, chi, seed):
     state, _, h = grouped_state(kind, chi, seed)
     shapes = [t.shape for t in state.site_tensors]
     assert max(shapes.count(s) for s in shapes) >= 6
-    assert len(set(shapes)) == (1 if kind == "regular" else 3)
+    assert len(set(shapes)) == GROUP_SHAPES[kind]
     assert 0 < len(h.vertex_terms) < state.graph.n
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -261,4 +262,17 @@ class TestSerialization:
     ])
     def test_rejects_non_integer_values(self, data, bad):
         with pytest.raises(ValueError, match=rf"^graph JSON value {bad} is not an integer$"):
+            graph_from_json(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("data,error", [
+        ({"edges": [[0, 1]]}, 'graph JSON needs an object with "n" and an "edges" list'),
+        ({"n": 4}, 'graph JSON needs an object with "n" and an "edges" list'),
+        ({"n": 4, "edges": 5}, 'graph JSON needs an object with "n" and an "edges" list'),
+        ([4, [[0, 1]]], 'graph JSON needs an object with "n" and an "edges" list'),
+        ({"n": 4, "edges": [5]}, "graph JSON edge 5 is not a 2-element list"),
+        ({"n": 4, "edges": [[0, 1, 2]]}, "graph JSON edge [0, 1, 2] is not a 2-element list"),
+        ({"n": 4, "edges": [{"a": 0}]}, "graph JSON edge {'a': 0} is not a 2-element list"),
+    ])
+    def test_rejects_malformed_structure(self, data, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             graph_from_json(json.loads(json.dumps(data)))
