@@ -277,16 +277,16 @@ def _site_averages(env: Environment) -> SiteAverages:
     """``site_averaged_observables`` from an environment the caller already holds."""
     if env.lay.phys_dim != 2:
         raise ValueError("site_averaged_observables requires qubits (d = 2)")
-    site_rdms = env.site_rdms()
-    edge_rdms = env.edge_rdms()
-    zz = np.kron(PAULI_Z, PAULI_Z)
-    return SiteAverages(
-        mean_abs_z=float(np.mean(np.abs(_expectations(site_rdms, PAULI_Z)))),
-        mean_x=float(np.mean(_expectations(site_rdms, PAULI_X))),
-        mean_y=float(np.mean(_expectations(site_rdms, PAULI_Y))),
-        edge_entropy=float(np.mean(_entropies(edge_rdms))) if len(edge_rdms) else 0.0,
-        edge_zz=float(np.mean(_expectations(edge_rdms, zz))) if len(edge_rdms) else 0.0,
-    )
+    site_rdms, edge_rdms = env.site_rdms(), env.edge_rdms()
+    mean_abs_z, mean_x, edge_zz = _pauli_means(site_rdms, edge_rdms)
+    return SiteAverages(mean_abs_z=mean_abs_z, mean_x=mean_x, mean_y=float(np.mean(_expectations(site_rdms, PAULI_Y))),
+                        edge_entropy=float(np.mean(_entropies(edge_rdms))) if len(edge_rdms) else 0.0, edge_zz=edge_zz)
+
+
+def _pauli_means(sites, edges):
+    """Mean |<Z>| and mean <X> over one-site density matrices, and mean <ZZ> over edge ones (0 for none)."""
+    zz = float(np.mean(_expectations(edges, np.kron(PAULI_Z, PAULI_Z)))) if len(edges) else 0.0
+    return float(np.mean(np.abs(_expectations(sites, PAULI_Z)))), float(np.mean(_expectations(sites, PAULI_X))), zz
 
 
 def messages_to_json(msgs: dict) -> dict:

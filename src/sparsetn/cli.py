@@ -10,8 +10,8 @@ memory), 3 numerical failure (BP non-convergence is reported in a column, not
 treated as failure).
 
 ``--threads`` is accepted by every subcommand and must be >= 1. ``tfim-sweep``
-runs its (hx, restart) jobs in that many processes; the other subcommands run
-single-threaded and only record it.
+runs its (hx, restart) jobs as that many stacked descents, one per process; the
+other subcommands run single-threaded and only record it.
 """
 
 from __future__ import annotations

@@ -17,34 +17,39 @@ arrays indexed by directed edge. A group's ket layers are leg-stacked rows: r
 copies of the stack, copy l with leg l moved first, dressed together by r - 1
 contiguous matmuls. Gates, blocks, environments and gradients are reshaped
 batched matmuls, so a group costs a fixed number of numpy calls whatever r is.
-Each stack is built once, on first use.
+Each stack and its rows are built once, on first use. Runs on one graph can share an environment as copies,
+in the layout of their disjoint union (vertex p * n + v is vertex v of copy p): each copy's values are exactly
+those of a lone run, energies are summed per copy, and errors name the copy and use its own ids.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .graph import Graph
 from .states import TensorNetworkState
 
-__all__ = ["Environment", "site_gate", "unit_trace"]
+__all__ = ["Environment", "site_gate", "stacked", "unit_trace"]
 
 RDM_ERROR = "reduced density matrix on {} has non-positive trace {tr}"
 
 
-def unit_trace(mats, labels, error: str):
+def unit_trace(mats, labels, error: str, names=("",)):
     """Hermitize a stack of square matrices and scale each to unit trace.
 
-    A non-finite or non-positive trace raises ``RuntimeError`` with
-    ``error.format(*labels[i], tr=trace)`` for the smallest such label.
+    ``labels`` label the matrices of one copy, and the stack holds one copy per
+    name. A non-finite or non-positive trace raises ``RuntimeError`` with
+    ``names[p] + error.format(*labels[i], tr=trace)`` for the lowest such (p, label).
     """
     mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
     tr = np.trace(mats, axis1=-2, axis2=-1).real
     ok = np.isfinite(tr) & (tr > 0.0)
     if not ok.all():
-        i = min(np.flatnonzero(~ok), key=labels.__getitem__)
-        raise RuntimeError(error.format(*labels[i], tr=tr[i]))
+        p, i = min((divmod(k, len(labels)) for k in np.flatnonzero(~ok)), key=lambda pi: (pi[0], labels[pi[1]]))
+        raise RuntimeError(names[p] + error.format(*labels[i], tr=tr[p * len(labels) + i]))
     return mats / tr[:, None, None]
 
 
@@ -61,11 +66,11 @@ def _dress(t, msgs, axis):
 
     Each leg in turn is rotated last and absorbed by one contiguous ``(B, rest, chi) @ (B, chi, chi)`` matmul.
     """
-    n, shape, lead = len(t), t.shape, int(np.prod(t.shape[1:axis]))
+    n, shape, lead = len(t), t.shape, math.prod(t.shape[1:axis])
     for m in msgs:
         t = t.reshape(n, lead, m.shape[1], -1).swapaxes(2, 3).reshape(n, -1, m.shape[1]) @ m
     # the absorbed legs now come last, in order; the legs that followed them move back behind them
-    return t.reshape(n, lead, -1, int(np.prod(shape[axis:axis + len(msgs)]))).swapaxes(2, 3).reshape(shape)
+    return t.reshape(n, lead, -1, math.prod(shape[axis:axis + len(msgs)])).swapaxes(2, 3).reshape(shape)
 
 
 def _close(ket, bra, k):
@@ -75,7 +80,7 @@ def _close(ket, bra, k):
     per open leg.
     """
     n, d, opened = bra.shape[0], bra.shape[1], bra.shape[2:2 + k]
-    rows = d * int(np.prod(opened))
+    rows = d * math.prod(opened)
     gate = ket.reshape(n, rows, -1) @ bra.reshape(n, rows, -1).swapaxes(1, 2)
     perm = [0, 1, 2 + k] + [ax for l in range(k) for ax in (2 + l, 3 + k + l)]
     return gate.reshape((n, d) + opened + (d,) + opened).transpose(perm)
@@ -93,9 +98,13 @@ def site_gate(t, in_msgs, open_legs=()):
 
 
 class _Layout:
-    """Vertex groups and padding of one graph and one set of site-tensor shapes."""
+    """Vertex groups and padding of one graph and one set of site-tensor shapes, in one copy per name."""
 
-    def __init__(self, graph, shapes):
+    def __init__(self, graph, shapes, names):
+        self.base, self.names, copies = graph, names, len(names)
+        if copies > 1:  # the disjoint union, copy after copy
+            n, shapes = graph.n, shapes * copies
+            graph = Graph(copies * n, [(a + p * n, b + p * n) for p in range(copies) for a, b in graph.edges])
         de = graph.directed_edges
         self.graph, self.shapes, self.phys_dim = graph, shapes, shapes[0][0]
         self.chis = [shapes[a][1 + graph.leg(a, b)] for a, b in de]
@@ -124,8 +133,8 @@ class _Layout:
         return [stacks[gi][(i,) + tuple(map(slice, s))] for gi, i, s in zip(self.group_of, self.index_of, self.shapes)]
 
     def terms(self, h):
-        """Edge terms in edge order, vertex terms per site (zero where none), and which terms exist."""
-        g, d, m = self.graph, self.phys_dim, len(self.graph.edges)
+        """One copy's edge terms in edge order, vertex terms per site (zero where none), and which terms exist."""
+        g, d, m = self.base, self.phys_dim, len(self.base.edges)
         if h.graph != g:
             raise ValueError("hamiltonian and state live on different graphs")
         if h.phys_dim != d:
@@ -141,13 +150,13 @@ _layout = lru_cache(maxsize=16)(_Layout)
 
 
 class Environment:
-    """Ket layers, gates and the quantities derived from them for one (state, messages) pair.
+    """Ket layers, gates and the quantities derived from them for one (state, messages) pair, or one per copy.
 
     ``step`` and ``with_stacks`` derive the next environment from the stacks.
     """
 
     def __init__(self, state: TensorNetworkState, msgs: dict):
-        lay = _layout(state.graph, tuple(t.shape for t in state.site_tensors))
+        lay = _layout(state.graph, tuple(t.shape for t in state.site_tensors), ("",))
         msg_stack = _pad([msgs[e] for e in lay.graph.directed_edges], (lay.chi, lay.chi))
         self.lay, self.stacks, self.msg_stack = lay, lay.stack(state.site_tensors), msg_stack
         self.state, self.msgs = state, msgs
@@ -162,18 +171,24 @@ class Environment:
         return {de[k]: self.msg_stack[k, :chis[k], :chis[k]] for k in self.lay.order}
 
     @cached_property
+    def _rows(self):
+        """Per group: the leg-stacked rows (the first G are the stack) and their conjugate; ``step`` hands them on."""
+        rows = [np.stack([np.moveaxis(s, 2 + l, 2) for l in range(r)]).reshape((len(t),) + s.shape[1:]) if r else s
+                for (_, r, _, t), s in zip(self.lay.groups, self.stacks)]
+        return [(x, x.conj()) for x in rows]
+
+    @cached_property
     def _kets(self):
-        """Per group: the conjugated rows (the first G are the conjugated stack), their ket layers, the full layer."""
+        """Per group: the conjugated rows, their ket layers and the full layer."""
         kets = []
-        for (vs, r, closed, targets), s in zip(self.lay.groups, self.stacks):
+        for (vs, r, closed, targets), (rows, bra) in zip(self.lay.groups, self._rows):
             if not r:
-                kets.append((s.conj(), None, s))
+                kets.append((bra, None, rows))
                 continue
-            rows = np.stack([np.moveaxis(s, 2 + l, 2) for l in range(r)]).reshape((len(targets),) + s.shape[1:])
             ket = _dress(rows, [self.msg_stack[ids] for ids in closed], 3)
             # the leg-0 block keeps the stack's axis order; its open leg is absorbed last
             full = _dress(ket[:len(vs)], [self.msg_stack[targets[:len(vs)] ^ 1]], 2)
-            kets.append((rows.conj(), ket, full))
+            kets.append((bra, ket, full))
         return kets
 
     @cached_property
@@ -206,49 +221,68 @@ class Environment:
     def step(self, damping: float = 0.0) -> "Environment":
         """The environment of the same site tensors under the next synchronous message set."""
         raw = np.trace(self._gates, axis1=1, axis2=2)
-        new = unit_trace(raw, self.lay.graph.directed_edges, "message {}->{} lost positivity (trace={tr})")
+        new = unit_trace(raw, self.lay.base.directed_edges, "message {}->{} lost positivity (trace={tr})",
+                         self.lay.names)
         new = (1.0 - damping) * new + damping * self.msg_stack if damping else new
         # subnormal parts are flushed to zero, so rescaling a message by a power of two stays exact downstream
         parts = new.view(float)
         parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
-        return _environment(self.lay, self.stacks, new)
+        return _environment(self.lay, self.stacks, new, _rows=self._rows)
 
     def with_stacks(self, stacks) -> "Environment":
-        """New site-tensor stacks under the same messages; a bad tensor raises the ``TensorNetworkState`` error."""
+        """Site-tensor stacks under the same messages; a bad tensor raises its copy's ``TensorNetworkState`` error."""
+        env = _environment(self.lay, stacks, self.msg_stack)
         if not all(np.isfinite(s).all() and s.reshape(len(s), -1).any(axis=1).all() for s in stacks):
-            TensorNetworkState(self.lay.graph, self.lay.unstack(stacks), self.lay.phys_dim)
-        return _environment(self.lay, stacks, self.msg_stack)
+            for name, copy in zip(self.lay.names, env.copies()):
+                try:
+                    copy.state
+                except ValueError as err:
+                    raise ValueError(f"{name}{err}") from err
+        return env
+
+    def copies(self) -> list:
+        """One environment per copy, in the layout of a lone copy, on views of this one's arrays."""
+        lay, count = self.lay, len(self.lay.names)
+        base = _layout(lay.base, lay.shapes[:lay.base.n], ("",))
+        return [_environment(base, list(s), m) for s, m in
+                zip(zip(*(np.split(s, count) for s in self.stacks)), np.split(self.msg_stack, count))]
 
     def site_rdms(self):
         """(n, d, d) Hermitian unit-trace one-site density matrices in vertex order."""
-        return unit_trace(self.site_blocks, [((a,),) for a in range(self.lay.graph.n)], RDM_ERROR)
+        return unit_trace(self.site_blocks, [((a,),) for a in range(self.lay.base.n)], RDM_ERROR, self.lay.names)
 
     def edge_rdms(self):
         """(m, d^2, d^2) Hermitian unit-trace edge density matrices in edge order."""
-        return unit_trace(self.edge_blocks, [(e,) for e in self.lay.graph.edges], RDM_ERROR)
+        return unit_trace(self.edge_blocks, [(e,) for e in self.lay.base.edges], RDM_ERROR, self.lay.names)
 
     def energy(self, terms, gradient: bool = False):
-        """Sum of normalized term values, edges first, and with ``gradient`` its per-group gradient stacks.
+        """Per copy, the sum of its normalized term values, edges first, and with ``gradient`` the per-group gradients.
 
         ``terms`` comes from ``lay.terms``. The gradient is with respect to the conjugated
         site tensors at fixed messages: each term adds the ket layer applied to (h - e) / tr(block).
         """
         edge_ops, vert_ops, present = terms
-        g, d, chi, m = self.lay.graph, self.lay.phys_dim, self.lay.chi, len(self.lay.graph.edges)
+        lay, d, chi, m = self.lay, self.lay.phys_dim, self.lay.chi, len(self.lay.graph.edges)
+        copies, m1, n1 = len(lay.names), len(lay.base.edges), lay.base.n
         edge, site = self.edge_blocks, self.site_blocks
-        norms = np.concatenate([np.trace(edge, axis1=1, axis2=2).real, np.trace(site, axis1=1, axis2=2).real])
-        bad = np.flatnonzero(present & (norms <= 0))
+
+        def per_copy(on_edges, on_sites):  # (copies, m1 + n1): each copy's edges, then its sites, as when alone
+            return np.concatenate([on_edges.reshape(copies, m1), on_sites.reshape(copies, n1)], 1)
+
+        e_norm, s_norm = np.trace(edge, axis1=1, axis2=2).real, np.trace(site, axis1=1, axis2=2).real
+        bad = np.flatnonzero(present & (per_copy(e_norm, s_norm).ravel() <= 0))
         if bad.size:
-            i = bad[0]
-            raise RuntimeError(f"{f'edge {g.edges[i]}' if i < m else f'site {i - m}'}: vanishing local norm")
-        norms[~present] = 1.0
-        values = np.concatenate([np.einsum("kij,kji->k", edge, edge_ops).real,
-                                 np.einsum("kij,kji->k", site, vert_ops).real]) / norms
-        total = sum(values.tolist(), 0.0)
+            p, i = divmod(bad[0], m1 + n1)
+            where = f"edge {lay.base.edges[i]}" if i < m1 else f"site {i - m1}"
+            raise RuntimeError(f"{lay.names[p]}{where}: vanishing local norm")
+        s_norm[~present.reshape(copies, m1 + n1)[:, m1:].ravel()] = 1.0
+        e_val = np.einsum("kij,kji->k", edge, edge_ops).real / e_norm
+        s_val = np.einsum("kij,kji->k", site, vert_ops).real / s_norm
+        totals = [sum(row, 0.0) for row in per_copy(e_val, s_val).tolist()]
         if not gradient:
-            return total, None
-        op4 = ((edge_ops - values[:m, None, None] * np.eye(d * d)) / norms[:m, None, None]).reshape(m, d, d, d, d)
-        vert_ops = (vert_ops - values[m:, None, None] * np.eye(d)) / norms[m:, None, None]
+            return totals, None
+        op4 = ((edge_ops - e_val[:, None, None] * np.eye(d * d)) / e_norm[:, None, None]).reshape(m, d, d, d, d)
+        vert_ops = (vert_ops - s_val[:, None, None] * np.eye(d)) / s_norm[:, None, None]
         # per directed edge i -> j: the term with rows (bra i, ket i) and columns (ket j, bra j); times the gate
         # of j -> i it is the environment of site i, rows (bra phys, bra bond) and columns (ket phys, ket bond)
         ops = np.stack([op4.transpose(0, 1, 3, 4, 2), op4.transpose(0, 2, 4, 3, 1)], 1).reshape(2 * m, d * d, d * d)
@@ -263,11 +297,20 @@ class Environment:
                     grad += np.moveaxis(block, 2, 2 + l)
             grad += (vert_ops[vs] @ full.reshape(len(vs), d, -1)).reshape(full.shape)
             grads.append(grad)
-        return total, grads
+        return totals, grads
 
 
-def _environment(lay, stacks, msg_stack) -> Environment:
-    """An ``Environment`` of stacked site tensors and messages in the layout ``lay``."""
+def stacked(envs, names) -> Environment:
+    """The environments ``envs``, all of one layout, as the copies of one environment, named ``names`` in errors."""
+    stacks = [np.concatenate(s) for s in zip(*(env.stacks for env in envs))]
+    # a union's layout is built once per stacked run, so it is kept out of the cache
+    lay = (_layout if len(names) == 1 else _Layout)(envs[0].lay.base, envs[0].lay.shapes, tuple(names))
+    return _environment(lay, stacks, np.concatenate([env.msg_stack for env in envs]))
+
+
+def _environment(lay, stacks, msg_stack, **cached) -> Environment:
+    """An ``Environment`` of stacked site tensors and messages in the layout ``lay``, with ``cached`` properties."""
     env = Environment.__new__(Environment)
     env.lay, env.stacks, env.msg_stack = lay, stacks, msg_stack
+    env.__dict__.update(cached)
     return env

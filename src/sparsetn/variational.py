@@ -14,7 +14,8 @@ gradients. All contractions go through ``sparsetn.env``.
 
 Within one inner descent loop the fixed-message functional must not increase;
 a rise beyond tolerance aborts with a step-size diagnostic. The true energy
-across outer iterations is not monotone (messages move between loops).
+across outer iterations is not monotone (messages move between loops). Runs on
+one graph with one schedule descend together, as copies in one ``Environment``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bp import BpConfig, _site_averages, init_messages, run_bp
-from .env import Environment
+from .bp import BpConfig, _pauli_means, _site_averages, init_messages, run_bp
+from .env import Environment, stacked
 from .graph import Graph
 from .hamiltonian import Hamiltonian, transverse_field_ising
 from .states import TensorNetworkState, product_state, random_state, square_root_state
@@ -44,7 +45,6 @@ __all__ = [
     "energy_gradient",
     "variational_prepare",
     "sweep",
-    "run_sweep_point",
 ]
 
 
@@ -121,7 +121,7 @@ class SweepPoint:
 def energy(state: TensorNetworkState, msgs: dict, h: Hamiltonian) -> float:
     """Sum of normalized local term expectations under the given messages."""
     env = Environment(state, msgs)
-    return env.energy(env.lay.terms(h))[0]
+    return env.energy(env.lay.terms(h))[0][0]
 
 
 def energy_gradient(state: TensorNetworkState, msgs: dict, h: Hamiltonian):
@@ -160,36 +160,38 @@ def variational_prepare(g: Graph, h: Hamiltonian, cfg: VarConfig) -> VarTrace:
     Site tensors and messages stay stacked arrays from step to step, and the
     Hamiltonian's terms are stacked once.
     """
-    state = _build_initial_state(g, cfg, h.phys_dim)
-    env = Environment(state, init_messages(state, "identity"))
-    terms = env.lay.terms(h)
-    trace = VarTrace()
+    return _descend(g, [(h, cfg, "")])[0]
+
+
+def _descend(g: Graph, jobs) -> list:
+    """Bit for bit, the ``variational_prepare`` trace of each ``(h, cfg, name)`` job, all descending as copies on
+    the first one's schedule and step size. A failure names its job; a rise in several at once, the first."""
+    cfg, names = jobs[0][1], [name for *_, name in jobs]
+    states = [_build_initial_state(g, job_cfg, h.phys_dim) for h, job_cfg, _ in jobs]
+    env = stacked([Environment(state, init_messages(state, "identity")) for state in states], names)
+    terms = [np.concatenate(arrays) for arrays in zip(*(env.lay.terms(h) for h, *_ in jobs))]
+    traces = [VarTrace() for _ in jobs]
     for _ in range(cfg.t_var):
         for _ in range(cfg.t_bp):
             env = env.step(cfg.bp_damping)
         e_prev = None
         for k in range(cfg.n_gd):
-            e_val, grads = env.energy(terms, gradient=True)
-            if e_prev is not None and e_val > e_prev + _DESCENT_TOLERANCE * (1.0 + abs(e_prev)):
-                raise StepSizeError(
-                    f"fixed-message energy rose from {e_prev:.12g} to {e_val:.12g} "
-                    f"at inner step {k}; reduce gamma (currently {cfg.gamma})"
-                )
-            e_prev = e_val
+            e_vals, grads = env.energy(terms, gradient=True)
+            for name, e_val, e_old in zip(names, e_vals, e_prev or ()):
+                if e_val > e_old + _DESCENT_TOLERANCE * (1.0 + abs(e_old)):
+                    raise StepSizeError(f"{name}fixed-message energy rose from {e_old:.12g} to {e_val:.12g} "
+                                        f"at inner step {k}; reduce gamma (currently {cfg.gamma})")
+            e_prev = e_vals
             env = env.with_stacks([t - cfg.gamma * gr for t, gr in zip(env.stacks, grads)])
-        trace.energies.append(env.energy(terms)[0])
-        if env.lay.phys_dim == 2:
-            obs = _site_averages(env)
-            trace.mean_abs_z.append(obs.mean_abs_z)
-            trace.mean_x.append(obs.mean_x)
-            trace.mean_zz.append(obs.edge_zz)
-        else:
-            trace.mean_abs_z.append(float("nan"))
-            trace.mean_x.append(float("nan"))
-            trace.mean_zz.append(float("nan"))
-    trace.final_state = env.state
-    trace.final_messages = env.msgs
-    return trace
+        energies = env.energy(terms)[0]
+        observables = (map(_pauli_means, np.split(env.site_rdms(), len(jobs)), np.split(env.edge_rdms(), len(jobs)))
+                       if env.lay.phys_dim == 2 else [(float("nan"),) * 3] * len(jobs))
+        for trace, e_val, obs in zip(traces, energies, observables):
+            for series, value in zip((trace.energies, trace.mean_abs_z, trace.mean_x, trace.mean_zz), (e_val, *obs)):
+                series.append(value)
+    for trace, copy in zip(traces, env.copies()):
+        trace.final_state, trace.final_messages = copy.state, copy.msgs
+    return traces
 
 
 def _derived_seed(base_seed: int, i: int, restart: int) -> int:
@@ -200,44 +202,39 @@ def sweep(g: Graph, hx_values, cfg: VarConfig, restarts: int, base_seed: int = 0
     """Run the variational preparation over a transverse-field grid.
 
     Each (hx, restart) job perturbs the initial state with its own derived
-    noise seed. Summary observables per job come from running the message
-    iteration to convergence on the final state (warm-started from the final
-    message set), so they do not depend on where the fixed message count left
-    off. With ``workers > 1`` the jobs run in that many processes; the points
-    are the same, in the same order.
+    noise seed. The jobs run in ``workers`` contiguous chunks, each chunk one
+    stacked descent (in a process of its own when there are several), and a
+    failure in a descent names the hx and restart of its job. The points are the
+    same, in the same order, for every ``workers``. Summary observables per job
+    come from running the message iteration to convergence on the final state
+    (warm-started from the final message set), so they do not depend on where
+    the fixed message count left off.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    jobs = []
-    for i, hx in enumerate(hx_values):
-        h = transverse_field_ising(g, float(hx))
-        jobs.extend((g, h, cfg, float(hx), i, r, base_seed) for r in range(restarts))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as ex:
-            return list(ex.map(run_sweep_point, *zip(*jobs)))
-    return [run_sweep_point(*job) for job in jobs]
+    jobs = [(float(hx), i, r) for i, hx in enumerate(hx_values) for r in range(restarts)]
+    chunks = [c for k in range(workers) if (c := jobs[k * len(jobs) // workers:(k + 1) * len(jobs) // workers])]
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks), mp_context=multiprocessing.get_context("spawn")) as ex:
+            return [pt for pts in ex.map(_sweep_points, *zip(*[(g, cfg, base_seed, c) for c in chunks])) for pt in pts]
+    return _sweep_points(g, cfg, base_seed, jobs) if jobs else []
 
 
-def run_sweep_point(
-    g: Graph, h: Hamiltonian, cfg: VarConfig, hx: float, i_hx: int, restart: int, base_seed: int
-) -> SweepPoint:
-    seed = _derived_seed(base_seed, i_hx, restart)
-    trace = variational_prepare(g, h, dataclasses.replace(cfg, noise_seed=seed))
-    _, diag = run_bp(trace.final_state, BpConfig(), msgs=trace.final_messages)
-    env = diag.env
-    obs = _site_averages(env)
-    e_val = env.energy(env.lay.terms(h))[0]
-    return SweepPoint(
-        hx=hx,
-        restart=restart,
-        noise_seed=seed,
-        trace=trace,
-        mean_abs_z=obs.mean_abs_z,
-        mean_x=obs.mean_x,
-        mean_zz=obs.edge_zz,
-        energy=e_val,
-        energy_density=e_val / g.n,
-        bp_converged=diag.converged,
-    )
+def _sweep_points(g: Graph, cfg: VarConfig, base_seed: int, jobs) -> list:
+    """The ``SweepPoint`` of each ``(hx, i_hx, restart)`` job, from one stacked descent of them all."""
+    seeds = [_derived_seed(base_seed, i, r) for _, i, r in jobs]
+    hs = [transverse_field_ising(g, hx) for hx, *_ in jobs]
+    traces = _descend(g, [(h, dataclasses.replace(cfg, noise_seed=seed), f"hx={hx}, restart={r}: ")
+                          for h, seed, (hx, _, r) in zip(hs, seeds, jobs)])
+    points = []
+    for (hx, _, restart), seed, h, trace in zip(jobs, seeds, hs, traces):
+        _, diag = run_bp(trace.final_state, BpConfig(), msgs=trace.final_messages)
+        env = diag.env
+        obs = _site_averages(env)
+        e_val = env.energy(env.lay.terms(h))[0][0]
+        points.append(SweepPoint(hx=hx, restart=restart, noise_seed=seed, trace=trace, mean_abs_z=obs.mean_abs_z,
+                                 mean_x=obs.mean_x, mean_zz=obs.edge_zz, energy=e_val, energy_density=e_val / g.n,
+                                 bp_converged=diag.converged))
+    return points

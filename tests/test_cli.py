@@ -172,6 +172,22 @@ class TestTfimSweep:
         para = [r for r in summary if r["hx"] == "4.0"]
         assert all(float(r["mean_x"]) > 0.85 for r in para)
 
+    def test_uneven_thread_chunks_preserve_output(self, tmp_path):
+        gpath = tmp_path / "g8.json"
+        save_graph(random_regular(8, 3, seed=5), gpath)
+        args = ["tfim-sweep", "--graph", str(gpath), "--hx-grid", "0.5,2.0,3.5", "--restarts", "1", "--t-var", "4"]
+        outs = [tmp_path / f"t{n}" for n in (1, 2, 3)]
+        for n, out in zip((1, 2, 3), outs):
+            assert main(args + ["--out-dir", str(out), "--threads", str(n)]) == 0
+        for name in ("tfim_sweep.csv", "tfim_sweep_trace.csv"):
+            assert len({(out / name).read_bytes() for out in outs}) == 1
+
+    def test_step_size_failure_names_its_job(self, tmp_path, graph_file, capsys):
+        code = main(["tfim-sweep", "--graph", graph_file, "--hx-grid", "1.0,3.0", "--t-var", "5",
+                     "--gamma", "5.0", "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "numerical failure: hx=1.0, restart=0: fixed-message energy rose" in capsys.readouterr().err
+
     def test_threads_preserve_output(self, tmp_path):
         gpath = tmp_path / "g6.json"
         save_graph(random_regular(6, 3, seed=3), gpath)

@@ -8,6 +8,7 @@ transpose). A hypothesis property test adds drawn trees, random regular
 graphs and grids with a drawn bond dimension on every edge.
 """
 
+import re
 from itertools import islice
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 from sparsetn.bp import bp_iterate, bp_step, init_messages, rdm
-from sparsetn.env import Environment
+from sparsetn.env import Environment, stacked
 from sparsetn.graph import Graph, grid_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian
 from sparsetn.states import TensorNetworkState
@@ -221,6 +222,28 @@ def test_grouped_failures_name_the_first_edge_or_site():
         env.with_stacks(stacks)
     stacks[0][env.lay.index_of[4]] = np.inf
     with pytest.raises(ValueError, match=r"^site 4: non-finite entries$"):
+        env.with_stacks(stacks)
+
+
+
+def test_stacked_failures_name_their_copy_with_its_own_ids():
+    state, msgs, h = grouped_state("regular", 2, 0)
+    g = state.graph
+    dead = dict(msgs)
+    for u in g.neighbors(7):
+        dead[(u, 7)] = np.zeros_like(msgs[(u, 7)])
+    lone = Environment(state, dead)
+    env = stacked([Environment(state, msgs), lone, lone], ["a: ", "b: ", "c: "])
+    terms = [np.concatenate(arrays) for arrays in zip(*[env.lay.terms(h)] * 3)]
+    for alone, together in [(lone.step, env.step), (lone.edge_rdms, env.edge_rdms),
+                            (lambda: lone.energy(lone.lay.terms(h)), lambda: env.energy(terms))]:
+        with pytest.raises(RuntimeError) as err:
+            alone()
+        with pytest.raises(RuntimeError, match=f"^b: {re.escape(str(err.value))}$"):
+            together()
+    stacks = [s.copy() for s in env.stacks]
+    stacks[0][2 * len(lone.stacks[0]) + lone.lay.index_of[9]] = 0.0
+    with pytest.raises(ValueError, match=r"^c: site 9: tensor is identically zero$"):
         env.with_stacks(stacks)
 
 

@@ -1,7 +1,10 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from sparsetn.bp import BpConfig, bp_step, init_messages, run_bp
+from sparsetn.bp import BpConfig, bp_step, init_messages, run_bp, site_averaged_observables
 from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian, mixed_field_ising, transverse_field_ising
 from sparsetn.oracles import exact_diagonalize, hamiltonian_matrix
@@ -14,6 +17,7 @@ from sparsetn.variational import (
     VarConfig,
     energy,
     energy_gradient,
+    _derived_seed,
     sweep,
     variational_prepare,
 )
@@ -267,3 +271,44 @@ class TestSweep:
         cfg = VarConfig(t_var=5, chi=1, init=ProductInit())
         pts = sweep(g, [1.0], cfg, restarts=1, base_seed=0)
         assert pts[0].energy_density == pytest.approx(pts[0].energy / g.n)
+
+    @pytest.mark.parametrize("chi", [1, 2])
+    def test_stacked_jobs_equal_lone_runs(self, chi):
+        # degrees 3, 2 and 1, and the isolated vertex 6
+        g = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)])
+        cfg = VarConfig(t_var=6, chi=chi, init=ProductInit(), init_noise=1e-2)
+        pts = sweep(g, [0.5, 2.5], cfg, restarts=2, base_seed=3)
+        assert [(p.hx, p.restart) for p in pts] == [(0.5, 0), (0.5, 1), (2.5, 0), (2.5, 1)]
+        for p in pts:
+            h = transverse_field_ising(g, p.hx)
+            trace = variational_prepare(g, h, dataclasses.replace(cfg, noise_seed=p.noise_seed))
+            msgs, diag = run_bp(trace.final_state, BpConfig(), msgs=trace.final_messages)
+            obs = site_averaged_observables(trace.final_state, msgs)
+            e = energy(trace.final_state, msgs, h)
+            assert (p.mean_abs_z, p.mean_x, p.mean_zz, p.energy, p.energy_density, p.bp_converged) == (
+                obs.mean_abs_z, obs.mean_x, obs.edge_zz, e, e / g.n, diag.converged)
+            for name in ("energies", "mean_abs_z", "mean_x", "mean_zz"):
+                assert getattr(p.trace, name) == getattr(trace, name)
+            for new, old in zip(p.trace.final_state.site_tensors, trace.final_state.site_tensors, strict=True):
+                assert np.array_equal(new, old)
+            assert list(p.trace.final_messages) == list(trace.final_messages)
+            for key, m in trace.final_messages.items():
+                assert np.array_equal(p.trace.final_messages[key], m)
+
+    @pytest.mark.parametrize("hxs,steps,first", [
+        ([0.5, 3.5], [2, 2], 0),  # both restarts at hx=3.5 rise at inner step 2: the lower index is named
+        ([0.5, 2.0, 3.5], [7, 4], 1),  # restart 1 rises first, at inner step 4
+    ])
+    def test_step_size_error_names_the_first_job_to_rise(self, hxs, steps, first):
+        g = random_regular(10, 3, seed=1)
+        cfg = VarConfig(t_var=1, gamma=0.2, chi=2, init=ProductInit())
+        lone = []
+        for r in range(2):
+            seed = _derived_seed(0, len(hxs) - 1, r)
+            with pytest.raises(StepSizeError) as err:
+                variational_prepare(g, transverse_field_ising(g, 3.5), dataclasses.replace(cfg, noise_seed=seed))
+            lone.append(str(err.value))
+        assert [int(re.search(r"at inner step (\d+);", text).group(1)) for text in lone] == steps
+        with pytest.raises(StepSizeError) as err:
+            sweep(g, hxs, cfg, restarts=2)
+        assert str(err.value) == f"hx=3.5, restart={first}: {lone[first]}"
