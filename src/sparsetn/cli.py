@@ -112,6 +112,8 @@ def cmd_bp_run(args) -> None:
 
 
 def cmd_graphstate_check(args) -> None:
+    if args.steps < 1:
+        raise ValueError("--steps must be >= 1")
     g = graph.load_graph(args.graph)
     state = states.graph_state(g)
     msgs = bp.init_messages(state, args.init, args.seed)

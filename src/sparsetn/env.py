@@ -18,8 +18,9 @@ copies of the stack, copy l with leg l moved first, dressed together by r - 1
 contiguous matmuls. Gates, blocks, environments and gradients are reshaped
 batched matmuls, so a group costs a fixed number of numpy calls whatever r is.
 Each stack and its rows are built once, on first use. Runs on one graph can share an environment as copies,
-in the layout of their disjoint union (vertex p * n + v is vertex v of copy p): each copy's values are exactly
-those of a lone run, energies are summed per copy, and errors name the copy and use its own ids.
+as offsets within the lone graph's layout: copy p's vertex ids are shifted by p * n and its directed-edge ids by
+p * 2m. Each copy's values are exactly those of a lone run, energies are summed per copy, and errors name the copy
+and use its own ids.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graph import Graph
 from .states import TensorNetworkState
 
 __all__ = ["Environment", "site_gate", "stacked", "unit_trace"]
@@ -98,15 +98,12 @@ def site_gate(t, in_msgs, open_legs=()):
 
 
 class _Layout:
-    """Vertex groups and padding of one graph and one set of site-tensor shapes, in one copy per name."""
+    """Vertex groups and padding of one graph and one set of site-tensor shapes, in one copy per name, copy after
+    copy as ``stacked`` concatenates them: copy p's vertex and directed-edge ids are shifted by p * n and p * 2m."""
 
     def __init__(self, graph, shapes, names):
-        self.base, self.names, copies = graph, names, len(names)
-        if copies > 1:  # the disjoint union, copy after copy
-            n, shapes = graph.n, shapes * copies
-            graph = Graph(copies * n, [(a + p * n, b + p * n) for p in range(copies) for a, b in graph.edges])
-        de = graph.directed_edges
-        self.graph, self.shapes, self.phys_dim = graph, shapes, shapes[0][0]
+        de, copies = graph.directed_edges, len(names)
+        self.graph, self.shapes, self.names, self.phys_dim = graph, shapes, names, shapes[0][0]
         self.chis = [shapes[a][1 + graph.leg(a, b)] for a, b in de]
         self.chi = max(self.chis, default=1)
         self.order = sorted(range(len(de)), key=de.__getitem__)
@@ -115,26 +112,26 @@ class _Layout:
             by_degree.setdefault(graph.degree(v), []).append(v)
         # per group: its vertices; its degree r; per closed position of the leg-stacked rows (copy l has leg l
         # moved first), the incoming message ids; and the rows' gate targets
-        self.groups = []
-        for r, vs in by_degree.items():
-            inc = np.array([[graph.directed_edge_index(u, v) for u in graph.neighbors(v)] for v in vs], dtype=int).T
-            closed = [inc[[j + (j >= l) for l in range(r)]].ravel() for j in range(r - 1)]
-            self.groups.append((np.array(vs), r, closed, inc.ravel() ^ 1))
-        self.group_of, self.index_of = np.zeros(graph.n, dtype=int), np.zeros(graph.n, dtype=int)
-        for gi, (vs, *_) in enumerate(self.groups):
+        self.groups, self.group_of, self.index_of = [], np.zeros(graph.n, dtype=int), np.zeros(graph.n, dtype=int)
+        shift = np.arange(copies)[:, None]
+        for gi, (r, vs) in enumerate(by_degree.items()):
             self.group_of[vs], self.index_of[vs] = gi, np.arange(len(vs))
+            inc = np.array([[graph.directed_edge_index(u, v) for u in graph.neighbors(v)] for v in vs], dtype=int).T
+            inc = (inc[:, None] + len(de) * shift).reshape(r, copies * len(vs))
+            closed = [inc[[j + (j >= l) for l in range(r)]].ravel() for j in range(r - 1)]
+            self.groups.append(((np.array(vs) + graph.n * shift).ravel(), r, closed, inc.ravel() ^ 1))
 
     def stack(self, tensors):
-        """Per group, the zero-padded site tensors stacked."""
+        """Per group, the zero-padded site tensors of a lone copy stacked."""
         return [_pad([tensors[v] for v in vs], (self.phys_dim,) + (self.chi,) * r) for vs, r, *_ in self.groups]
 
     def unstack(self, stacks) -> list:
-        """Per-vertex tensors, in vertex order and at their own bond dimensions, of per-group stacks."""
+        """Per-vertex tensors, in vertex order and at their own bond dimensions, of a lone copy's per-group stacks."""
         return [stacks[gi][(i,) + tuple(map(slice, s))] for gi, i, s in zip(self.group_of, self.index_of, self.shapes)]
 
     def terms(self, h):
         """One copy's edge terms in edge order, vertex terms per site (zero where none), and which terms exist."""
-        g, d, m = self.base, self.phys_dim, len(self.base.edges)
+        g, d, m = self.graph, self.phys_dim, len(self.graph.edges)
         if h.graph != g:
             raise ValueError("hamiltonian and state live on different graphs")
         if h.phys_dim != d:
@@ -163,10 +160,12 @@ class Environment:
 
     @cached_property
     def state(self) -> TensorNetworkState:
+        """The lone copy's state; the copies of a stacked environment are read through ``copies``."""
         return TensorNetworkState(self.lay.graph, self.lay.unstack(self.stacks), self.lay.phys_dim)
 
     @cached_property
     def msgs(self) -> dict:
+        """The lone copy's messages; the copies of a stacked environment are read through ``copies``."""
         de, chis = self.lay.graph.directed_edges, self.lay.chis
         return {de[k]: self.msg_stack[k, :chis[k], :chis[k]] for k in self.lay.order}
 
@@ -205,7 +204,7 @@ class Environment:
     def site_blocks(self):
         """(n, d, d) one-site blocks in vertex order."""
         d = self.lay.phys_dim
-        blocks = np.empty((self.lay.graph.n, d, d), dtype=complex)
+        blocks = np.empty((len(self.lay.names) * self.lay.graph.n, d, d), dtype=complex)
         for (vs, *_), (bra, _, full) in zip(self.lay.groups, self._kets):
             blocks[vs] = _close(full, bra[:len(vs)], 0)
         return blocks
@@ -213,7 +212,7 @@ class Environment:
     @cached_property
     def edge_blocks(self):
         """(m, d^2, d^2) two-site blocks in edge order, the smaller vertex most significant."""
-        d, chi, m = self.lay.phys_dim, self.lay.chi, len(self.lay.graph.edges)
+        d, chi, m = self.lay.phys_dim, self.lay.chi, len(self.msg_stack) // 2
         pair = self._gates.reshape(m, 2, d * d, chi * chi)
         blocks = pair[:, 0] @ pair[:, 1].swapaxes(1, 2)
         return blocks.reshape(m, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(m, d * d, d * d)
@@ -221,7 +220,7 @@ class Environment:
     def step(self, damping: float = 0.0) -> "Environment":
         """The environment of the same site tensors under the next synchronous message set."""
         raw = np.trace(self._gates, axis1=1, axis2=2)
-        new = unit_trace(raw, self.lay.base.directed_edges, "message {}->{} lost positivity (trace={tr})",
+        new = unit_trace(raw, self.lay.graph.directed_edges, "message {}->{} lost positivity (trace={tr})",
                          self.lay.names)
         new = (1.0 - damping) * new + damping * self.msg_stack if damping else new
         # subnormal parts are flushed to zero, so rescaling a message by a power of two stays exact downstream
@@ -243,17 +242,17 @@ class Environment:
     def copies(self) -> list:
         """One environment per copy, in the layout of a lone copy, on views of this one's arrays."""
         lay, count = self.lay, len(self.lay.names)
-        base = _layout(lay.base, lay.shapes[:lay.base.n], ("",))
-        return [_environment(base, list(s), m) for s, m in
+        lone = _layout(lay.graph, lay.shapes, ("",))
+        return [_environment(lone, list(s), m) for s, m in
                 zip(zip(*(np.split(s, count) for s in self.stacks)), np.split(self.msg_stack, count))]
 
     def site_rdms(self):
         """(n, d, d) Hermitian unit-trace one-site density matrices in vertex order."""
-        return unit_trace(self.site_blocks, [((a,),) for a in range(self.lay.base.n)], RDM_ERROR, self.lay.names)
+        return unit_trace(self.site_blocks, [((a,),) for a in range(self.lay.graph.n)], RDM_ERROR, self.lay.names)
 
     def edge_rdms(self):
         """(m, d^2, d^2) Hermitian unit-trace edge density matrices in edge order."""
-        return unit_trace(self.edge_blocks, [(e,) for e in self.lay.base.edges], RDM_ERROR, self.lay.names)
+        return unit_trace(self.edge_blocks, [(e,) for e in self.lay.graph.edges], RDM_ERROR, self.lay.names)
 
     def energy(self, terms, gradient: bool = False):
         """Per copy, the sum of its normalized term values, edges first, and with ``gradient`` the per-group gradients.
@@ -262,8 +261,8 @@ class Environment:
         site tensors at fixed messages: each term adds the ket layer applied to (h - e) / tr(block).
         """
         edge_ops, vert_ops, present = terms
-        lay, d, chi, m = self.lay, self.lay.phys_dim, self.lay.chi, len(self.lay.graph.edges)
-        copies, m1, n1 = len(lay.names), len(lay.base.edges), lay.base.n
+        lay, d, chi, m = self.lay, self.lay.phys_dim, self.lay.chi, len(self.msg_stack) // 2
+        copies, m1, n1 = len(lay.names), len(lay.graph.edges), lay.graph.n
         edge, site = self.edge_blocks, self.site_blocks
 
         def per_copy(on_edges, on_sites):  # (copies, m1 + n1): each copy's edges, then its sites, as when alone
@@ -273,7 +272,7 @@ class Environment:
         bad = np.flatnonzero(present & (per_copy(e_norm, s_norm).ravel() <= 0))
         if bad.size:
             p, i = divmod(bad[0], m1 + n1)
-            where = f"edge {lay.base.edges[i]}" if i < m1 else f"site {i - m1}"
+            where = f"edge {lay.graph.edges[i]}" if i < m1 else f"site {i - m1}"
             raise RuntimeError(f"{lay.names[p]}{where}: vanishing local norm")
         s_norm[~present.reshape(copies, m1 + n1)[:, m1:].ravel()] = 1.0
         e_val = np.einsum("kij,kji->k", edge, edge_ops).real / e_norm
@@ -303,8 +302,7 @@ class Environment:
 def stacked(envs, names) -> Environment:
     """The environments ``envs``, all of one layout, as the copies of one environment, named ``names`` in errors."""
     stacks = [np.concatenate(s) for s in zip(*(env.stacks for env in envs))]
-    # a union's layout is built once per stacked run, so it is kept out of the cache
-    lay = (_layout if len(names) == 1 else _Layout)(envs[0].lay.base, envs[0].lay.shapes, tuple(names))
+    lay = _layout(envs[0].lay.graph, envs[0].lay.shapes, tuple(names))
     return _environment(lay, stacks, np.concatenate([env.msg_stack for env in envs]))
 
 

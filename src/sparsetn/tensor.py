@@ -13,7 +13,6 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "IDENTITY2",
     "symmetric_factor",
     "tensor_to_json",
     "tensor_from_json",
@@ -22,7 +21,6 @@ __all__ = [
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
 
 
 def symmetric_factor(m):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bp import BpConfig, _pauli_means, _site_averages, init_messages, run_bp
+from .bp import BpConfig, _pauli_means, init_messages, run_bp
 from .env import Environment, stacked
 from .graph import Graph
 from .hamiltonian import Hamiltonian, transverse_field_ising
@@ -232,9 +232,9 @@ def _sweep_points(g: Graph, cfg: VarConfig, base_seed: int, jobs) -> list:
     for (hx, _, restart), seed, h, trace in zip(jobs, seeds, hs, traces):
         _, diag = run_bp(trace.final_state, BpConfig(), msgs=trace.final_messages)
         env = diag.env
-        obs = _site_averages(env)
+        mean_abs_z, mean_x, mean_zz = _pauli_means(env.site_rdms(), env.edge_rdms())
         e_val = env.energy(env.lay.terms(h))[0][0]
-        points.append(SweepPoint(hx=hx, restart=restart, noise_seed=seed, trace=trace, mean_abs_z=obs.mean_abs_z,
-                                 mean_x=obs.mean_x, mean_zz=obs.edge_zz, energy=e_val, energy_density=e_val / g.n,
+        points.append(SweepPoint(hx=hx, restart=restart, noise_seed=seed, trace=trace, mean_abs_z=mean_abs_z,
+                                 mean_x=mean_x, mean_zz=mean_zz, energy=e_val, energy_density=e_val / g.n,
                                  bp_converged=diag.converged))
     return points

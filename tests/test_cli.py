@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from sparsetn.cli import main
+from sparsetn.cli import _grid, main
 from sparsetn.graph import graph_from_json, random_regular, save_graph
+from sparsetn.hamiltonian import transverse_field_ising
+from sparsetn.oracles import exact_diagonalize
 
 
 def read_csv(path):
@@ -188,6 +190,22 @@ class TestTfimSweep:
         assert code == 3
         assert "numerical failure: hx=1.0, restart=0: fixed-message energy rose" in capsys.readouterr().err
 
+    def test_oracle_writes_exact_diagonalization(self, tmp_path):
+        g = random_regular(8, 3, seed=2)
+        save_graph(g, tmp_path / "g8.json")
+        code = main(["tfim-sweep", "--graph", str(tmp_path / "g8.json"), "--hx-grid", "1.0,3.0", "--t-var", "2",
+                     "--oracle", "--out-dir", str(tmp_path)])
+        assert code == 0
+        rows = read_csv(tmp_path / "tfim_sweep_ed.csv")
+        assert list(rows[0]) == ["hx", "e0", "e0_density", "e1", "ed_mean_abs_z"]
+        assert [float(r["hx"]) for r in rows] == [1.0, 3.0]
+        for r in rows:
+            e0 = float(r["e0"])
+            assert e0 == exact_diagonalize(transverse_field_ising(g, float(r["hx"]))).e0
+            assert float(r["e0_density"]) == e0 / g.n
+            assert float(r["e1"]) >= e0
+            assert 0.0 <= float(r["ed_mean_abs_z"]) <= 1.0
+
     def test_threads_preserve_output(self, tmp_path):
         gpath = tmp_path / "g6.json"
         save_graph(random_regular(6, 3, seed=3), gpath)
@@ -197,3 +215,14 @@ class TestTfimSweep:
         assert main(args + ["--out-dir", str(d1), "--threads", "1"]) == 0
         assert main(args + ["--out-dir", str(d2), "--threads", "2"]) == 0
         assert (d1 / "tfim_sweep.csv").read_bytes() == (d2 / "tfim_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("spec,values", [
+    ("0.1:1.2:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2]),
+    ("0.5:4.0:0.25", [0.5 + 0.25 * k for k in range(15)]),
+    ("-1:1:0.5", [-1.0, -0.5, 0.0, 0.5, 1.0]),
+    ("0:1:0.3", [0.0, 0.3, 0.6, 0.9]),
+    ("0.3:0.3:0.1", [0.3]),
+])
+def test_grid_spans_start_to_stop_inclusive(spec, values):
+    assert _grid(spec) == values

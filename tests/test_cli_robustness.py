@@ -168,6 +168,14 @@ def test_zero_threads_exits_2(tmp_path, capsys, small_graph_file, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_graphstate_check_rejects_steps_below_one(tmp_path, capsys, small_graph_file, steps):
+    code = main(["graphstate-check", "--graph", small_graph_file, "--steps", steps, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "error: --steps must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("graphstate_check*"))
+
+
 @pytest.mark.parametrize("argv,spec", [
     (["sqrt-sweep", "--betas", "1:0:0.1", "--mc-sweeps", "300", "--mc-burn-in", "100"], "1:0:0.1"),
     (["tfim-sweep", "--hx-grid", "4:1:0.5", "--t-var", "1"], "4:1:0.5"),

@@ -247,6 +247,27 @@ def test_stacked_failures_name_their_copy_with_its_own_ids():
         env.with_stacks(stacks)
 
 
+STACKED = [(mixed_state, case) for case in CASES] + [(grouped_state, case) for case in GROUPED]
+
+
+@pytest.mark.parametrize("build,args", STACKED, ids=[f"{b.__name__}-{'-'.join(map(str, a))}" for b, a in STACKED])
+def test_stacked_copies_equal_lone_environments(build, args):
+    """Three copies under two message sets and two states compute bit for bit what each computes alone."""
+    state, msgs, h = build(*args)
+    conj = state.with_site_tensors([t.conj() for t in state.site_tensors])
+    lone = [Environment(state, msgs), Environment(state, bp_step(state, msgs)), Environment(conj, msgs)]
+    env = stacked(lone, ["a: ", "b: ", "c: "])
+    totals, grads = env.energy([np.concatenate(arrays) for arrays in zip(*[env.lay.terms(h)] * 3)], gradient=True)
+    together = [np.split(a, 3) for a in (env.step(0.3).msg_stack, env.site_rdms(), env.edge_rdms(), *grads)]
+    for p, alone in enumerate(lone):
+        (total,), alone_grads = alone.energy(alone.lay.terms(h), gradient=True)
+        assert totals[p] == total
+        arrays = (alone.step(0.3).msg_stack, alone.site_rdms(), alone.edge_rdms(), *alone_grads)
+        assert len(arrays) == len(together)
+        for a, parts in zip(arrays, together):
+            assert np.array_equal(a, parts[p])
+
+
 @st.composite
 def drawn_networks(draw):
     """A random state on a drawn tree (n 2-12), 3-regular graph (n 6-14) or grid (2-4 x 2-4) with chi 1-3 per edge.
