@@ -107,6 +107,8 @@ def init_messages(state: TensorNetworkState, init: str = "identity", seed: int =
     ``identity`` gives I/chi; ``random`` gives a seeded Gram matrix
     G^dagger G / tr(G^dagger G) of a complex Gaussian G.
     """
+    if init not in ("identity", "random"):
+        raise ValueError("init must be 'identity' or 'random'")
     g = state.graph
     rng = np.random.default_rng(seed)
     msgs = {}
@@ -114,12 +116,10 @@ def init_messages(state: TensorNetworkState, init: str = "identity", seed: int =
         chi = state.bond_dim(a, b)
         if init == "identity":
             m = np.eye(chi, dtype=complex) / chi
-        elif init == "random":
+        else:
             gmat = rng.standard_normal((chi, chi)) + 1j * rng.standard_normal((chi, chi))
             m = gmat.conj().T @ gmat
             m = m / np.trace(m).real
-        else:
-            raise ValueError("init must be 'identity' or 'random'")
         msgs[(a, b)] = m
     return msgs
 

@@ -10,8 +10,8 @@ memory), 3 numerical failure (BP non-convergence is reported in a column, not
 treated as failure).
 
 ``--threads`` is accepted by every subcommand and must be >= 1. ``tfim-sweep``
-runs its (hx, restart) jobs as that many stacked descents, one per process; the
-other subcommands run single-threaded and only record it.
+runs its (hx, restart) jobs in that many processes; the others only record it.
+Either way numpy's BLAS starts its own threads (by default one per core).
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ def _write_csv(path: str, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+            writer.writerow([int(x) if isinstance(x, bool) else repr(float(x)) if isinstance(x, float) else x
+                             for x in row])
 
 
 def _write_json(path: str, obj) -> None:
@@ -54,14 +55,14 @@ def _build_state(g: graph.Graph, kind: str, beta: float, j: float, chi: int, see
         return states.square_root_state(g, beta, j)
     if kind == "product":
         return states.product_state(g, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    if kind == "random":
-        return states.random_state(g, chi, seed)
-    raise ValueError(f"unknown state kind '{kind}'")
+    return states.random_state(g, chi, seed)
 
 
 def _grid(spec: str):
     """Parse '0.1:1.2:0.1' (start:stop:step, inclusive) or a comma list."""
     if ":" in spec:
+        if spec.count(":") != 2:
+            raise ValueError(f"grid '{spec}' is not of the form start:stop:step")
         start, stop, step = (float(x) for x in spec.split(":"))
         if step <= 0:
             raise ValueError("grid step must be positive")
@@ -83,8 +84,7 @@ def cmd_graph_gen(args) -> None:
     out = args.out or os.path.join(args.out_dir, "graph.json")
     graph.save_graph(g, out)
     diag = graph.compute_diagnostics(g, max_cycle_len=args.max_cycle_len, include_expansion=True)
-    rows = [("n", g.n), ("edges", len(g.edges)), ("connected", int(diag.connected)),
-            ("is_tree", int(graph.is_tree(g))),
+    rows = [("n", g.n), ("edges", len(g.edges)), ("connected", diag.connected), ("is_tree", graph.is_tree(g)),
             ("diameter", diag.diameter if diag.diameter is not None else "disconnected")]
     for deg in sorted(diag.degree_histogram):
         rows.append((f"degree_{deg}", diag.degree_histogram[deg]))
@@ -148,7 +148,7 @@ def cmd_sqrt_sweep(args) -> None:
                                         burn_in=args.mc_burn_in, seed=args.seed + 1000 + i)
         row = [beta, obs.mean_abs_z, mc.mean_abs_z, mc.mean_abs_z_error, obs.mean_x,
                obs.edge_entropy, mc.mean_signed_z, mc.mean_signed_z_error, mc.sector_flips,
-               int(diag.converged), diag.steps_run]
+               diag.converged, diag.steps_run]
         if exact:
             ex = oracles.classical_exact_expectations(g, beta, args.j)
             rhos = env.site_rdms()
@@ -169,10 +169,8 @@ def _var_config(args) -> variational.VarConfig:
         init = variational.ProductInit()
     elif args.init == "sqrt":
         init = variational.SqrtInit(beta=args.init_beta)
-    elif args.init == "random":
-        init = variational.RandomInit(seed=args.seed)
     else:
-        raise ValueError(f"unknown init '{args.init}'")
+        init = variational.RandomInit(seed=args.seed)
     return variational.VarConfig(
         t_var=args.t_var, t_bp=args.t_bp, n_gd=args.n_gd, gamma=args.gamma, chi=args.chi,
         init=init, init_noise=args.init_noise, noise_seed=args.seed, bp_damping=args.bp_damping,
@@ -186,7 +184,7 @@ def _trace_rows(hx, restart, trace: variational.VarTrace, n: int):
         tail = energies[max(0, it - 3):it]
         settled = len(tail) == 3 and max(tail) - min(tail) <= 1e-6 * max(1.0, abs(e))
         rows.append((hx, restart, it, e, e / n, trace.mean_abs_z[it - 1],
-                     trace.mean_x[it - 1], trace.mean_zz[it - 1], int(settled)))
+                     trace.mean_x[it - 1], trace.mean_zz[it - 1], settled))
     return rows
 
 
@@ -226,16 +224,11 @@ def cmd_tfim_sweep(args) -> None:
     _check_oracle(args, g)
     hxs = _grid(args.hx_grid)
     points = variational.sweep(g, hxs, _var_config(args), args.restarts, args.seed, workers=args.threads)
-    trace_rows = []
-    summary_rows = []
-    for pt in points:
-        trace_rows.extend(_trace_rows(pt.hx, pt.restart, pt.trace, g.n))
-        summary_rows.append((pt.hx, pt.restart, pt.noise_seed, pt.mean_abs_z, pt.mean_x, pt.mean_zz,
-                             pt.energy, pt.energy_density, int(pt.bp_converged)))
+    trace_rows = [row for pt in points for row in _trace_rows(pt.hx, pt.restart, pt.trace, g.n)]
     _write_csv(os.path.join(args.out_dir, "tfim_sweep_trace.csv"), _TRACE_HEADER, trace_rows)
-    _write_csv(os.path.join(args.out_dir, "tfim_sweep.csv"),
-               ["hx", "restart", "noise_seed", "mean_abs_z", "mean_x", "mean_zz", "energy",
-                "energy_density", "bp_converged"], summary_rows)
+    columns = [f.name for f in dataclasses.fields(variational.SweepPoint) if f.name != "trace"]
+    _write_csv(os.path.join(args.out_dir, "tfim_sweep.csv"), columns,
+               [[getattr(pt, c) for c in columns] for pt in points])
     if args.oracle:
         ed_rows = []
         for hx in hxs:
@@ -251,7 +244,7 @@ def cmd_tfim_sweep(args) -> None:
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for tfim-sweep jobs; other subcommands run single-threaded")
+                   help="worker processes for tfim-sweep jobs; other subcommands only record it")
     p.add_argument("--out-dir", default=".", help="directory for outputs and resolved config")
     p.add_argument("--config", default=None, help="JSON file of argument defaults")
 

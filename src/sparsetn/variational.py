@@ -15,12 +15,11 @@ gradients. All contractions go through ``sparsetn.env``.
 Within one inner descent loop the fixed-message functional must not increase;
 a rise beyond tolerance aborts with a step-size diagnostic. The true energy
 across outer iterations is not monotone (messages move between loops). Runs on
-one graph with one schedule descend together, as copies in one ``Environment``.
+one graph under one ``VarConfig`` descend together, as copies in one ``Environment``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -49,6 +48,7 @@ __all__ = [
 
 
 _DESCENT_TOLERANCE = 1e-8  # relative energy rise within one descent loop that raises StepSizeError
+_CHUNK_ENTRIES = 2**16  # padded site-tensor entries per stacked sweep descent: ~40 MB of its arrays at chi=2
 
 
 class StepSizeError(RuntimeError):
@@ -130,8 +130,8 @@ def energy_gradient(state: TensorNetworkState, msgs: dict, h: Hamiltonian):
     return env.lay.unstack(env.energy(env.lay.terms(h), gradient=True)[1])
 
 
-def _build_initial_state(g: Graph, cfg: VarConfig, phys_dim: int = 2) -> TensorNetworkState:
-    """The init spec's state, zero-padded to bond dimension ``cfg.chi`` and perturbed by complex Gaussian noise."""
+def _build_initial_state(g: Graph, cfg: VarConfig, noise_seed: int, phys_dim: int) -> TensorNetworkState:
+    """The init spec's state, padded to bond dimension ``cfg.chi``, plus complex Gaussian noise from ``noise_seed``."""
     init = cfg.init
     if isinstance(init, ProductInit):
         base = product_state(g, np.asarray(init.vector, dtype=complex))
@@ -146,7 +146,7 @@ def _build_initial_state(g: Graph, cfg: VarConfig, phys_dim: int = 2) -> TensorN
         raise ValueError(f"requested chi {cfg.chi} below the initial state's bond dimension {cur}")
     tensors = [np.pad(t, [(0, 0)] + [(0, cfg.chi - s) for s in t.shape[1:]]) for t in base.site_tensors]
     if cfg.init_noise:
-        rng = np.random.default_rng(cfg.noise_seed)
+        rng = np.random.default_rng(noise_seed)
         tensors = [t + cfg.init_noise * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
                    for t in tensors]
     return base.with_site_tensors(tensors)
@@ -160,14 +160,14 @@ def variational_prepare(g: Graph, h: Hamiltonian, cfg: VarConfig) -> VarTrace:
     Site tensors and messages stay stacked arrays from step to step, and the
     Hamiltonian's terms are stacked once.
     """
-    return _descend(g, [(h, cfg, "")])[0]
+    return _descend(g, cfg, [(h, cfg.noise_seed, "")])[0]
 
 
-def _descend(g: Graph, jobs) -> list:
-    """Bit for bit, the ``variational_prepare`` trace of each ``(h, cfg, name)`` job, all descending as copies on
-    the first one's schedule and step size. A failure names its job; a rise in several at once, the first."""
-    cfg, names = jobs[0][1], [name for *_, name in jobs]
-    states = [_build_initial_state(g, job_cfg, h.phys_dim) for h, job_cfg, _ in jobs]
+def _descend(g: Graph, cfg: VarConfig, jobs) -> list:
+    """Bit for bit, the ``variational_prepare`` trace under ``cfg`` of each ``(h, noise_seed, name)`` job, all
+    descending as copies in one environment. A failure names its job; a rise in several at once, the first."""
+    names = [name for *_, name in jobs]
+    states = [_build_initial_state(g, cfg, seed, h.phys_dim) for h, seed, _ in jobs]
     env = stacked([Environment(state, init_messages(state, "identity")) for state in states], names)
     terms = [np.concatenate(arrays) for arrays in zip(*(env.lay.terms(h) for h, *_ in jobs))]
     traces = [VarTrace() for _ in jobs]
@@ -202,9 +202,10 @@ def sweep(g: Graph, hx_values, cfg: VarConfig, restarts: int, base_seed: int = 0
     """Run the variational preparation over a transverse-field grid.
 
     Each (hx, restart) job perturbs the initial state with its own derived
-    noise seed. The jobs run in ``workers`` contiguous chunks, each chunk one
-    stacked descent (in a process of its own when there are several), and a
-    failure in a descent names the hx and restart of its job. The points are the
+    noise seed. The jobs run in ``workers`` contiguous chunks, or more if a
+    chunk would hold over ``_CHUNK_ENTRIES`` padded site-tensor entries; each
+    chunk is one stacked descent, and several workers run them in that many
+    processes. A failure names the hx and restart of its job. The points are the
     same, in the same order, for every ``workers``. Summary observables per job
     come from running the message iteration to convergence on the final state
     (warm-started from the final message set), so they do not depend on where
@@ -215,25 +216,30 @@ def sweep(g: Graph, hx_values, cfg: VarConfig, restarts: int, base_seed: int = 0
     if workers < 1:
         raise ValueError("workers must be >= 1")
     jobs = [(float(hx), i, r) for i, hx in enumerate(hx_values) for r in range(restarts)]
-    chunks = [c for k in range(workers) if (c := jobs[k * len(jobs) // workers:(k + 1) * len(jobs) // workers])]
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks), mp_context=multiprocessing.get_context("spawn")) as ex:
+    per_chunk = max(1, _CHUNK_ENTRIES // sum(2 * cfg.chi ** g.degree(v) for v in range(g.n)))  # qubit sites
+    count = max(workers, -(-len(jobs) // per_chunk))
+    chunks = [c for k in range(count) if (c := jobs[k * len(jobs) // count:(k + 1) * len(jobs) // count])]
+    if workers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(min(workers, len(chunks)), mp_context=multiprocessing.get_context("spawn")) as ex:
             return [pt for pts in ex.map(_sweep_points, *zip(*[(g, cfg, base_seed, c) for c in chunks])) for pt in pts]
-    return _sweep_points(g, cfg, base_seed, jobs) if jobs else []
+    return [pt for c in chunks for pt in _sweep_points(g, cfg, base_seed, c)]
 
 
 def _sweep_points(g: Graph, cfg: VarConfig, base_seed: int, jobs) -> list:
     """The ``SweepPoint`` of each ``(hx, i_hx, restart)`` job, from one stacked descent of them all."""
     seeds = [_derived_seed(base_seed, i, r) for _, i, r in jobs]
     hs = [transverse_field_ising(g, hx) for hx, *_ in jobs]
-    traces = _descend(g, [(h, dataclasses.replace(cfg, noise_seed=seed), f"hx={hx}, restart={r}: ")
-                          for h, seed, (hx, _, r) in zip(hs, seeds, jobs)])
+    names = [f"hx={hx}, restart={r}: " for hx, _, r in jobs]
+    traces = _descend(g, cfg, list(zip(hs, seeds, names)))
     points = []
-    for (hx, _, restart), seed, h, trace in zip(jobs, seeds, hs, traces):
-        _, diag = run_bp(trace.final_state, BpConfig(), msgs=trace.final_messages)
-        env = diag.env
-        mean_abs_z, mean_x, mean_zz = _pauli_means(env.site_rdms(), env.edge_rdms())
-        e_val = env.energy(env.lay.terms(h))[0][0]
+    for (hx, _, restart), seed, h, name, trace in zip(jobs, seeds, hs, names, traces):
+        try:
+            _, diag = run_bp(trace.final_state, BpConfig(), msgs=trace.final_messages)
+            env = diag.env
+            mean_abs_z, mean_x, mean_zz = _pauli_means(env.site_rdms(), env.edge_rdms())
+            e_val = env.energy(env.lay.terms(h))[0][0]
+        except RuntimeError as exc:
+            raise RuntimeError(f"{name}{exc}") from exc
         points.append(SweepPoint(hx=hx, restart=restart, noise_seed=seed, trace=trace, mean_abs_z=mean_abs_z,
                                  mean_x=mean_x, mean_zz=mean_zz, energy=e_val, energy_density=e_val / g.n,
                                  bp_converged=diag.converged))

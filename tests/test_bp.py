@@ -57,6 +57,11 @@ class TestInitMessages:
             assert w.min() >= -1e-12
             assert abs(np.trace(m1[key]).real - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("g", [Graph(3, []), random_regular(6, 3, seed=0)], ids=["edgeless", "3-regular"])
+    def test_rejects_unknown_init(self, g):
+        with pytest.raises(ValueError, match="init must be 'identity' or 'random'"):
+            init_messages(product_state(g, np.array([1.0, 0.0])), "bogus")
+
 
 class TestBpStep:
     def test_leaf_message_is_traced_site_tensor(self):

@@ -1,14 +1,17 @@
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from sparsetn import bp, oracles, variational
 from sparsetn.cli import _grid, main
-from sparsetn.graph import graph_from_json, random_regular, save_graph
+from sparsetn.graph import graph_from_json, load_graph, random_regular, save_graph
 from sparsetn.hamiltonian import transverse_field_ising
 from sparsetn.oracles import exact_diagonalize
+from sparsetn.states import random_state
 
 
 def read_csv(path):
@@ -54,6 +57,11 @@ class TestGraphGen:
         assert code == 2
         assert "even" in capsys.readouterr().err
 
+    def test_needs_tree_or_degree(self, tmp_path, capsys):
+        assert main(["graph-gen", "--n", "6", "--out-dir", str(tmp_path)]) == 2
+        assert "error: either --tree or --r is required" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestBpRun:
     def test_graph_state_observables(self, tmp_path, graph_file):
@@ -72,6 +80,21 @@ class TestBpRun:
         assert code == 0
         msgs = json.loads((tmp_path / "bp_messages.json").read_text())
         assert len(msgs) == 2 * 18  # one message per directed edge
+
+    def test_product_state_is_x_polarized(self, tmp_path, graph_file):
+        assert main(["bp-run", "--graph", graph_file, "--state", "product", "--out-dir", str(tmp_path)]) == 0
+        obs = json.loads((tmp_path / "bp_observables.json").read_text())
+        assert obs["converged"]
+        assert abs(obs["mean_x"] - 1.0) < 1e-12 and abs(obs["mean_abs_z"]) < 1e-12
+
+    def test_random_state_matches_library(self, tmp_path, graph_file):
+        assert main(["bp-run", "--graph", graph_file, "--state", "random", "--chi", "3", "--seed", "5",
+                     "--out-dir", str(tmp_path)]) == 0
+        obs = json.loads((tmp_path / "bp_observables.json").read_text())
+        _, diag = bp.run_bp(random_state(load_graph(graph_file), 3, 5), bp.BpConfig(init_seed=5))
+        assert (obs["converged"], obs["steps_run"]) == (diag.converged, diag.steps_run)
+        expected = dataclasses.asdict(bp._site_averages(diag.env))
+        assert {k: obs[k] for k in expected} == expected
 
 
 class TestGraphstateCheck:
@@ -98,6 +121,18 @@ class TestSqrtSweep:
         assert "exact_mean_abs_z" in rows[0]
         assert float(rows[0]["bp_mean_x"]) > 0.9
         assert (tmp_path / "sqrt_sweep_deviations.json").exists()
+
+    def test_exact_above_16_sites_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
+        gpath = tmp_path / "g18.json"
+        save_graph(random_regular(18, 3, seed=0), gpath)
+        calls = []
+        monkeypatch.setattr(bp, "run_bp", lambda *args, **kwargs: calls.append("run_bp"))
+        monkeypatch.setattr(oracles, "classical_ising_mc", lambda *args, **kwargs: calls.append("mc"))
+        code = main(["sqrt-sweep", "--graph", str(gpath), "--betas", "0.4", "--exact", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "error: exact enumeration columns require n <= 16" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "sqrt_sweep.csv").exists()
 
     def test_beta_zero_row_is_fully_x_polarized(self, tmp_path, graph_file):
         code = main(["sqrt-sweep", "--graph", graph_file, "--betas", "0.0",
@@ -157,6 +192,22 @@ class TestVarPrep:
         assert (tmp_path / "var_prep_state.json").exists()
 
 
+    @pytest.mark.parametrize("init,flags,spec", [
+        ("sqrt", ["--init-beta", "0.3"], variational.SqrtInit(beta=0.3)),
+        ("random", [], variational.RandomInit(seed=4)),
+    ])
+    def test_init_kinds_match_library(self, tmp_path, graph_file, init, flags, spec):
+        code = main(["var-prep", "--graph", graph_file, "--model", "tfim", "--hx", "1.5", "--t-var", "3",
+                     "--init", init, *flags, "--seed", "4", "--out-dir", str(tmp_path)])
+        assert code == 0
+        g = load_graph(graph_file)
+        trace = variational.variational_prepare(g, transverse_field_ising(g, 1.5),
+                                                variational.VarConfig(t_var=3, init=spec, noise_seed=4))
+        rows = read_csv(tmp_path / "var_prep.csv")
+        assert [float(r["energy"]) for r in rows] == trace.energies
+        assert [float(r["mean_abs_z"]) for r in rows] == trace.mean_abs_z
+
+
 class TestTfimSweep:
     def test_trace_and_summary_files(self, tmp_path):
         gpath = tmp_path / "g8.json"
@@ -205,6 +256,26 @@ class TestTfimSweep:
             assert float(r["e0_density"]) == e0 / g.n
             assert float(r["e1"]) >= e0
             assert 0.0 <= float(r["ed_mean_abs_z"]) <= 1.0
+
+    def test_summary_columns_are_sweep_point_fields(self, tmp_path, graph_file):
+        code = main(["tfim-sweep", "--graph", graph_file, "--hx-grid", "1.0,3.0", "--t-var", "2",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "tfim_sweep.csv") as fh:
+            header = next(csv.reader(fh))
+        assert header == ["hx", "restart", "noise_seed", "mean_abs_z", "mean_x", "mean_zz", "energy",
+                          "energy_density", "bp_converged"]
+        assert {r["bp_converged"] for r in read_csv(tmp_path / "tfim_sweep.csv")} <= {"0", "1"}
+
+    def test_summary_failure_names_its_job(self, tmp_path, graph_file, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("BP step 1: message is not positive semidefinite")
+
+        monkeypatch.setattr(variational, "run_bp", fail)
+        code = main(["tfim-sweep", "--graph", graph_file, "--hx-grid", "1.0,3.0", "--t-var", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "numerical failure: hx=1.0, restart=0: BP step 1: message" in capsys.readouterr().err
 
     def test_threads_preserve_output(self, tmp_path):
         gpath = tmp_path / "g6.json"

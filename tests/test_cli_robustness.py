@@ -199,3 +199,23 @@ def test_non_integer_graph_json_exits_2(tmp_path, capsys):
         assert main(["bp-run", "--graph", str(gpath), "--out-dir", str(out)]) == 2
         assert f"error: {error}" in capsys.readouterr().err
         assert not list(out.glob("*_config.json"))
+
+
+@pytest.mark.parametrize("spec,error", [
+    ("1:2", "grid '1:2' is not of the form start:stop:step"),
+    ("1:2:3:4", "grid '1:2:3:4' is not of the form start:stop:step"),
+    ("1:2:0", "grid step must be positive"),
+    ("1:2:-0.5", "grid step must be positive"),
+])
+def test_malformed_grid_exits_2(tmp_path, capsys, small_graph_file, spec, error):
+    code = main(["tfim-sweep", "--graph", small_graph_file, "--hx-grid", spec, "--t-var", "1",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("tfim_sweep*"))
+
+
+def test_bools_are_written_as_0_and_1(tmp_path):
+    path = tmp_path / "x.csv"
+    cli._write_csv(str(path), ["a", "b", "c"], [(True, False, 1)])
+    assert path.read_text().splitlines() == ["a,b,c", "1,0,1"]

@@ -84,6 +84,15 @@ class TestGeneralizedGraphState:
         v2 = to_statevector(generalized_graph_state(g, m, factor=a @ o))
         match_up_to_phase(v1, v2)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_isolated_vertex_is_uniform(self, d):
+        g = Graph(4, [(0, 1), (1, 2)])  # vertex 3 has no edge
+        m = np.random.default_rng(d).standard_normal((d, d))
+        m = m + m.T
+        state = generalized_graph_state(g, m)
+        assert state.site_tensors[3].shape == (d,)
+        match_up_to_phase(to_statevector(state), amplitude_product(g, m))
+
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError):
             generalized_graph_state(p2(), np.array([[1.0, 2.0], [0.0, 1.0]]))

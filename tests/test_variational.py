@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from sparsetn import variational
 from sparsetn.bp import BpConfig, bp_step, init_messages, run_bp, site_averaged_observables
 from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian, mixed_field_ising, transverse_field_ising
@@ -271,6 +272,32 @@ class TestSweep:
         cfg = VarConfig(t_var=5, chi=1, init=ProductInit())
         pts = sweep(g, [1.0], cfg, restarts=1, base_seed=0)
         assert pts[0].energy_density == pytest.approx(pts[0].energy / g.n)
+
+    @pytest.mark.parametrize("n,n_hx,restarts,sizes", [
+        (1000, 15, 1, [3, 4, 4, 4]),  # 16,000 padded entries a copy: at most 4 copies per descent
+        (40, 10, 3, [30]),  # criterion 6's sweep stays one descent
+    ])
+    def test_chunk_size_follows_the_graph(self, monkeypatch, n, n_hx, restarts, sizes):
+        chunks = []
+
+        def record(g, cfg, base_seed, jobs):
+            chunks.append(jobs)
+            return []
+
+        monkeypatch.setattr(variational, "_sweep_points", record)
+        hxs = [0.5 * (k + 1) for k in range(n_hx)]
+        assert sweep(random_regular(n, 3, seed=0), hxs, VarConfig(chi=2), restarts) == []
+        assert [len(c) for c in chunks] == sizes
+        assert [job for c in chunks for job in c] == [(hx, i, r) for i, hx in enumerate(hxs) for r in range(restarts)]
+
+    def test_summary_failure_names_its_job(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("BP step 2: boom")
+
+        monkeypatch.setattr(variational, "run_bp", fail)
+        g = random_regular(6, 3, seed=5)
+        with pytest.raises(RuntimeError, match=r"^hx=0\.5, restart=0: BP step 2: boom$"):
+            sweep(g, [0.5, 1.5], VarConfig(t_var=1, chi=1), restarts=2)
 
     @pytest.mark.parametrize("chi", [1, 2])
     def test_stacked_jobs_equal_lone_runs(self, chi):
