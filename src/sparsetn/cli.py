@@ -29,6 +29,7 @@ from . import bp, graph, hamiltonian, oracles, states, variational
 from .tensor import PAULI_X, PAULI_Z
 
 _STATE_KINDS = ("graph", "sqrt", "product", "random")
+_MAX_GRID = 10**6
 _TRACE_HEADER = ["hx", "restart", "iteration", "energy", "energy_density", "mean_abs_z", "mean_x", "mean_zz",
                  "converged"]
 
@@ -59,19 +60,23 @@ def _build_state(g: graph.Graph, kind: str, beta: float, j: float, chi: int, see
 
 
 def _grid(spec: str):
-    """Parse '0.1:1.2:0.1' (start:stop:step, inclusive) or a comma list."""
+    """Parse '0.1:1.2:0.1' (start:stop:step, inclusive) or a comma list, of finite values."""
+    if ":" in spec and spec.count(":") != 2:
+        raise ValueError(f"grid '{spec}' is not of the form start:stop:step")
+    vals = [float(x) for x in spec.split(":" if ":" in spec else ",")]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"grid '{spec}' has a value that is not finite")
     if ":" in spec:
-        if spec.count(":") != 2:
-            raise ValueError(f"grid '{spec}' is not of the form start:stop:step")
-        start, stop, step = (float(x) for x in spec.split(":"))
+        start, stop, step = vals
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(round((stop - start) / step))
-        vals = [round(v, 12) for v in (start + k * step for k in range(count + 1)) if v <= stop + 1e-9]
+        span = max((stop - start) / step, -1.0)  # can overflow to +-inf, so count before building
+        if span >= _MAX_GRID - 0.5:
+            raise ValueError(f"grid '{spec}' has {span + 1:.7g} values, more than {_MAX_GRID}")
+        vals = [round(v, 12) for v in (start + k * step for k in range(round(span) + 1)) if v <= stop + 1e-9]
         if not vals:
             raise ValueError(f"grid '{spec}' has no values")
-        return vals
-    return [float(x) for x in spec.split(",")]
+    return vals
 
 
 def cmd_graph_gen(args) -> None:

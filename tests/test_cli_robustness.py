@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -219,3 +220,34 @@ def test_bools_are_written_as_0_and_1(tmp_path):
     path = tmp_path / "x.csv"
     cli._write_csv(str(path), ["a", "b", "c"], [(True, False, 1)])
     assert path.read_text().splitlines() == ["a,b,c", "1,0,1"]
+
+
+@pytest.mark.parametrize("spec", ["1:inf:1", "1:nan:1", "-inf:2:1", "1:2:inf", "1:2:-inf", "nan,inf", "1,inf",
+                                  "-inf"])
+def test_non_finite_grid_exits_2(tmp_path, capsys, small_graph_file, spec):
+    code = main(["tfim-sweep", "--graph", small_graph_file, f"--hx-grid={spec}", "--t-var", "1",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"error: grid '{spec}' has a value that is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("tfim_sweep*"))
+
+
+@pytest.mark.parametrize("spec,count", [("0:2e6:1", "2000001"), ("0:1000000:1", "1000001"),
+                                        ("1:2:1e-300", "1e+300"), ("-1e308:1e308:1", "inf")])
+def test_grid_too_large_is_refused_before_it_is_built(spec, count):
+    with pytest.raises(ValueError, match=re.escape(f"grid '{spec}' has {count} values, more than 1000000")):
+        cli._grid(spec)
+
+
+def test_grid_at_the_value_limit_is_built(monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_GRID", 10)
+    assert cli._grid("0:0.9:0.1") == [round(0.1 * k, 12) for k in range(10)]
+    with pytest.raises(ValueError, match="grid '0:1:0.1' has 11 values, more than 10"):
+        cli._grid("0:1:0.1")
+
+
+def test_grid_too_large_exits_2(tmp_path, capsys, small_graph_file):
+    code = main(["sqrt-sweep", "--graph", small_graph_file, "--betas", "1:2:1e-300", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "error: grid '1:2:1e-300' has 1e+300 values, more than 1000000" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_config.json"))

@@ -259,6 +259,21 @@ class TestMonteCarlo:
         for name, value in vars(old).items():
             np.testing.assert_array_equal(getattr(new, name), value, err_msg=name)
 
+    @pytest.mark.parametrize("graph,beta,j,sweeps,burn_in,batches,seed", [
+        (random_regular(12, 3, seed=6), 0.4, 1.0, 1003, 200, 7, 11),
+        (random_regular(10, 3, seed=4), 0.6, 1.0, 800, 0, 9, 12),
+        (Graph(7, [(0, k) for k in range(1, 7)]), 1.5, -0.4, 1500, 100, 10, 13),
+        (cycle_graph(6), 0.1, 1.0, 2200, 200, 200, 14),
+        (Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)]), 400.0, -1.0, 600, 100, 5, 15),
+    ], ids=["uneven-batches", "no-burn-in", "star-degree-6", "sign-carry-across-batches", "exp-underflow"])
+    def test_chain_matches_reference_edge_cases(self, graph, beta, j, sweeps, burn_in, batches, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = classical_ising_mc(graph, beta, j, sweeps=sweeps, burn_in=burn_in, seed=seed, batches=batches)
+        old = ref.classical_ising_mc(graph, beta, j, sweeps=sweeps, burn_in=burn_in, seed=seed, batches=batches)
+        for name, value in vars(old).items():
+            np.testing.assert_array_equal(getattr(new, name), value, err_msg=name)
+
 
 class TestExactEnumeration:
     def test_infinite_temperature_values(self):

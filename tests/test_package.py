@@ -31,3 +31,12 @@ def test_graph_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["tensor", "states", "env", "bp", "hamiltonian", "variational"])
+def test_bp_path_import_loads_no_scipy(name):
+    src = os.path.dirname(os.path.dirname(sparsetn.__file__))
+    code = f"import sys, sparsetn.{name}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
