@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from itertools import count, islice
 
 import numpy as np
+import numpy.random
 
 from .env import RDM_ERROR, Environment, site_gate, unit_trace
 from .states import TensorNetworkState

@@ -11,7 +11,8 @@ treated as failure).
 
 ``--threads`` is accepted by every subcommand and must be >= 1. ``tfim-sweep``
 runs its (hx, restart) jobs in that many processes; the others only record it.
-Either way numpy's BLAS starts its own threads (by default one per core).
+Importing this module sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 where unset: one BLAS
+thread per process. This has no effect if numpy was imported before this module.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ import json
 import os
 import sys
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads its BLAS
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+import numpy as np  # noqa: E402
 
-from . import bp, graph, hamiltonian, oracles, states, variational
-from .tensor import PAULI_X, PAULI_Z
+from . import bp, graph, hamiltonian, oracles, states, variational  # noqa: E402
+from .tensor import PAULI_X, PAULI_Z  # noqa: E402
 
 _STATE_KINDS = ("graph", "sqrt", "product", "random")
 _MAX_GRID = 10**6
@@ -249,7 +252,7 @@ def cmd_tfim_sweep(args) -> None:
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for tfim-sweep jobs; other subcommands only record it")
+                   help="tfim-sweep worker processes, one BLAS thread each; other subcommands only record it")
     p.add_argument("--out-dir", default=".", help="directory for outputs and resolved config")
     p.add_argument("--config", default=None, help="JSON file of argument defaults")
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import numpy.random
 
 __all__ = [
     "Graph",
@@ -150,7 +151,7 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
         stubs = base.copy()
         rng.shuffle(stubs)
         pairs = np.sort(stubs.reshape(-1, 2), axis=1)
-        if np.all(pairs[:, 0] != pairs[:, 1]) and len(np.unique(pairs, axis=0)) == len(pairs):
+        if np.all(pairs[:, 0] != pairs[:, 1]) and len(set(map(tuple, pairs.tolist()))) == len(pairs):
             return Graph(n, pairs.tolist())
     raise RuntimeError(f"random regular generation failed after 1000 attempts (n={n}, r={r})")
 

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-import scipy.linalg  # before scipy.sparse, so its OpenBLAS thread's start-up spin overlaps imports, not the run
-import scipy.sparse as sp
-import scipy.sparse.linalg
+import numpy.random
 
 from .graph import Graph
 from .hamiltonian import Hamiltonian
@@ -79,7 +77,7 @@ def hamiltonian_terms(h: Hamiltonian):
 
 
 def _embed(op, sites, n):
-    """Place a 2^k x 2^k operator on the given qubits of an n-qubit register.
+    """(rows, cols, vals) of a 2^k x 2^k operator placed on the given qubits of an n-qubit register.
 
     ``index[p, j]`` is the register basis state whose bits on ``sites`` spell
     ``p`` (first site most significant) and whose other bits spell ``j``; each
@@ -92,43 +90,97 @@ def _embed(op, sites, n):
         raise ValueError(f"operator on sites {sites} has shape {opd.shape}, not that of {k} qubits")
     index = np.moveaxis(np.arange(1 << n).reshape((2,) * n), sites, range(k)).reshape(1 << k, -1)
     pp, p = np.nonzero(opd)
-    vals = np.repeat(opd[pp, p], index.shape[1])
-    return sp.coo_matrix((vals, (index[pp].ravel(), index[p].ravel())), shape=(1 << n, 1 << n)).tocsr()
+    return index[pp].ravel(), index[p].ravel(), np.repeat(opd[pp, p], index.shape[1])
 
 
-def term_list_matrix(terms, n) -> sp.csr_matrix:
+def term_list_matrix(terms, n) -> "scipy.sparse.csr_matrix":
     """Sparse matrix of a sum of local terms given as (sites, matrix) pairs."""
-    dim = 1 << n
-    mat = sp.csr_matrix((dim, dim), dtype=complex)
-    for sites, op in terms:
-        mat = mat + _embed(op, tuple(sites), n)
-    return mat
+    import scipy.sparse  # only the sparse-matrix builders need scipy; exact_diagonalize does not
+    fs, d = _flip_diagonals(terms, n)
+    rows = np.broadcast_to(np.arange(1 << n), d.shape)
+    return scipy.sparse.csr_matrix((d.ravel(), (rows.ravel(), (rows ^ fs[:, None]).ravel())), shape=(1 << n, 1 << n))
 
 
-def hamiltonian_matrix(h: Hamiltonian) -> sp.csr_matrix:
+def hamiltonian_matrix(h: Hamiltonian) -> "scipy.sparse.csr_matrix":
     return term_list_matrix(hamiltonian_terms(h), h.graph.n)
 
 
-def exact_diagonalize(h: Hamiltonian) -> EdResult:
-    """Two lowest eigenpairs of the full Hamiltonian matrix (n <= 14).
+def _flip_diagonals(terms, n):
+    """The sum of the terms as ``(fs, d)``, its nonzeros grouped by the bits they flip: H[i, i ^ fs[p]] = d[p, i]."""
+    dim = 1 << n
+    zero = ((0,), 0 * np.eye(2))  # types the arrays when there are no terms
+    rows, cols, vals = map(np.concatenate, zip(*(_embed(op, tuple(s), n) for s, op in [zero, *terms])))
+    present = np.bincount(rows ^ cols, minlength=1) > 0
+    key = (np.cumsum(present)[rows ^ cols] - 1) * dim + rows
+    d = np.bincount(key, vals.real, present.sum() * dim) + 1j * np.bincount(key, vals.imag, present.sum() * dim)
+    return np.flatnonzero(present), (d if np.any(d.imag) else d.real.copy()).reshape(-1, dim)
 
-    Dense Hermitian eigendecomposition up to n = 8; a Lanczos solve from a
-    fixed start vector at n = 9-14. Either pair is orthonormalized (Lanczos
-    can return a non-orthogonal pair inside a near-degenerate level) and its
-    residuals are verified to 1e-9.
+
+def _apply(h, x):
+    """H applied to each row of ``x``: (H v)[i] = sum_p d[p, i] v[i ^ fs[p]] for ``h = (fs, d)``."""
+    out = np.zeros(x.shape, dtype=np.result_type(x, h[1]))
+    for f, d in zip(*h):
+        if f & (f - 1):  # several bits: one gather
+            out += d * np.take(x, np.arange(len(d)) ^ f, axis=-1)
+        elif f:  # one bit: a reversed axis of a reshaped view
+            shape = (len(x), -1, 2, f)
+            out.reshape(shape)[...] += d.reshape(shape[1:]) * x.reshape(shape)[:, :, ::-1]
+        else:
+            out += d * x
+    return out
+
+
+def _block_lanczos(h, dim):
+    """Two lowest Ritz pairs of block Lanczos (block size 2, fixed start, full reorthogonalization, twice).
+
+    Every fourth block the Ritz residuals ||b s|| are read from the block-tridiagonal ``t``: ``b`` couples
+    the new block, ``s`` is a Ritz vector's last rows. A direction that vanishes, as when a zero or diagonal
+    H exhausts the Krylov space, is replaced by a fresh random one with zero coupling.
+    """
+    rng = np.random.default_rng(0)
+    basis = np.empty((16, dim), dtype=h[1].dtype)  # grown by doubling
+    basis[:2] = np.linalg.qr(rng.standard_normal((dim, 2)))[0].T
+    t = np.zeros((16, 16), dtype=h[1].dtype)  # only its lower triangle is filled: all that eigh reads
+    size = min(dim, 1024)  # basis vectors at most; a run not converged by then fails the final residual check
+    for k in range(0, size, 2):
+        q = basis[:k + 2]
+        reorth = lambda x: x - (q.conj() @ x.T).T @ q  # noqa: E731
+        w = _apply(h, basis[k:k + 2])
+        t[k:k + 2, k:k + 2] = basis[k:k + 2].conj() @ w.T
+        scale, w = np.linalg.norm(w), reorth(reorth(w))
+        r, s, u = np.linalg.svd(w, full_matrices=False)
+        b, dead = (r * s).T, s <= 1e-12 * scale  # w's rows = b.T @ u's rows
+        if dead.all() or k % 8 == 6 or k + 2 == size:
+            theta, vecs = np.linalg.eigh(t[:k + 2, :k + 2])
+            if k + 2 == size or np.linalg.norm(b @ vecs[k:, :2], axis=0).max() <= 1e-10:  # 1e-9 is checked after
+                return theta[:2], q.T @ vecs[:, :2]
+        if dead.any():
+            b[dead], u[dead] = 0.0, rng.standard_normal((dead.sum(), dim))
+            fresh, upper = np.linalg.qr(reorth(reorth(u)).T)
+            u, b = fresh.T, upper @ b
+        if k + 4 > len(basis):
+            basis, t = np.concatenate([basis, np.empty_like(basis)]), np.pad(t, (0, len(t)))
+        basis[k + 2:k + 4], t[k + 2:k + 4, k:k + 2] = u, b
+
+
+def exact_diagonalize(h: Hamiltonian) -> EdResult:
+    """Two lowest eigenpairs of the full Hamiltonian (n <= 14), with numpy only.
+
+    Dense Hermitian eigendecomposition up to n = 8; block Lanczos from a fixed
+    start at n = 9-14. Either pair is orthonormalized (a near-degenerate level
+    can give a non-orthogonal pair) and its residuals are verified to 1e-9.
     """
     n = h.graph.n
     if n > 14:
         raise ValueError("exact_diagonalize supports n <= 14")
-    mat = hamiltonian_matrix(h)
+    op = _flip_diagonals(hamiltonian_terms(h), n)
     if n <= 8:
-        w, v = np.linalg.eigh(mat.toarray())
+        w, v = np.linalg.eigh(_apply(op, np.eye(1 << n)).T)
     else:
-        start = np.random.default_rng(0).standard_normal(1 << n)
-        w, v = scipy.sparse.linalg.eigsh(mat, k=2, which="SA", tol=0, v0=start)
+        w, v = _block_lanczos(op, 1 << n)
     order = np.argsort(w, kind="stable")[:2]
     q = np.linalg.qr(v[:, order])[0]
-    res = float(np.linalg.norm(mat @ q - q * w[order], axis=0).max())
+    res = float(np.linalg.norm(_apply(op, q.T).T - q * w[order], axis=0).max())
     if res > 1e-9:
         raise RuntimeError(f"eigenpair residual {res:.3e} exceeds 1e-9")
     return EdResult(e0=float(w[order[0]]), e1=float(w[order[1]]), v0=q[:, 0], v1=q[:, 1])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import numpy.random
 
 from .graph import Graph, graph_from_json, graph_to_json
 from .tensor import symmetric_factor, tensor_from_json, tensor_to_json

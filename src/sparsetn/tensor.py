@@ -40,7 +40,7 @@ def symmetric_factor(m):
         a = v.astype(complex) @ np.diag(np.sqrt(w.astype(complex)))
     else:
         # principal square root of a symmetric matrix is symmetric, so a @ a.T = a @ a = m
-        import scipy.linalg  # only this branch needs scipy, whose import would cost the BP path 0.25 s
+        import scipy.linalg  # only this branch needs scipy, whose import takes about 0.2 s
         a = np.asarray(scipy.linalg.sqrtm(m), dtype=complex)
     if not np.allclose(a @ a.T, m, rtol=0, atol=1e-10 * max(1.0, float(np.max(np.abs(m))))):
         raise RuntimeError("symmetric factorization failed (no admissible square root found)")

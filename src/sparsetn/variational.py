@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random
 
 from .bp import BpConfig, _pauli_means, init_messages, run_bp
 from .env import Environment, stacked

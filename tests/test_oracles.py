@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import reference_kernels as ref
+import sparsetn
 
 from sparsetn.bp import BpConfig, expectation, rdm, run_bp
 from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
@@ -15,11 +19,12 @@ from sparsetn.oracles import (
     fidelity,
     ground_space_overlap,
     hamiltonian_matrix,
+    hamiltonian_terms,
     statevector_rdm,
     term_list_matrix,
 )
 from sparsetn.states import graph_state, product_state, square_root_state, to_statevector
-from sparsetn.tensor import PAULI_X, PAULI_Z
+from sparsetn.tensor import PAULI_X, PAULI_Y, PAULI_Z
 
 
 def p2():
@@ -167,6 +172,53 @@ def test_lanczos_levels_match_dense(hx):
     w = np.linalg.eigvalsh(hamiltonian_matrix(h).toarray())
     assert abs(ed.e0 - w[0]) <= 1e-10
     assert abs(ed.e1 - w[1]) <= 1e-10
+
+
+def _y_model(n):
+    """A complex Hamiltonian: Y terms on a cycle, with site-dependent fields so no symmetry pairs the levels."""
+    g = cycle_graph(n)
+    edge = np.kron(PAULI_Z, PAULI_Z) + 0.6 * np.kron(PAULI_Y, PAULI_X)
+    return Hamiltonian(graph=g, edge_terms={e: edge for e in g.edges},
+                       vertex_terms={a: (0.5 + 0.1 * a) * PAULI_Y + 0.3 * PAULI_Z for a in range(n)})
+
+
+LANCZOS_EDGE_CASES = {
+    "complex-y-n9": lambda: _y_model(9),
+    "complex-y-n11": lambda: _y_model(11),
+    # breaks down at once: H q = 0 for every start vector
+    "zero-n9": lambda: Hamiltonian(graph=cycle_graph(9), edge_terms={e: 0 * np.eye(4) for e in cycle_graph(9).edges}),
+    # two levels, each 512-fold: the Krylov space is exhausted after two blocks
+    "edgeless-two-levels": lambda: Hamiltonian(graph=Graph(10, []), vertex_terms={4: 0.7 * PAULI_X + 0.2 * PAULI_Z}),
+    # eleven levels with a simple lowest one, so a block loses rank before the space is exhausted
+    "edgeless-sum-z": lambda: Hamiltonian(graph=Graph(10, []), vertex_terms={a: PAULI_Z for a in range(10)}),
+    "first-lanczos-size-n9": lambda: mixed_field_ising(random_regular(9, 4, seed=9), -1.0, -2.0, -0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(LANCZOS_EDGE_CASES))
+def test_lanczos_edge_cases_match_dense(name):
+    h = LANCZOS_EDGE_CASES[name]()
+    ed = exact_diagonalize(h)
+    w = np.linalg.eigvalsh(term_list_matrix(hamiltonian_terms(h), h.graph.n).toarray())
+    assert abs(ed.e0 - w[0]) <= 1e-10
+    assert abs(ed.e1 - w[1]) <= 1e-10
+    gram = np.array([[np.vdot(a, b) for b in (ed.v0, ed.v1)] for a in (ed.v0, ed.v1)])
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
+    if name == "zero-n9":
+        assert (ed.e0, ed.e1) == (0.0, 0.0)
+
+
+def test_lanczos_bits_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(sparsetn.__file__))
+    code = ("from sparsetn.graph import random_regular; from sparsetn.hamiltonian import mixed_field_ising; "
+            "from sparsetn.oracles import exact_diagonalize; "
+            "ed = exact_diagonalize(mixed_field_ising(random_regular(10, 3, seed=2), -1.0, -2.0, -0.5)); "
+            "print(ed.e0.hex(), ed.e1.hex(), ed.v0.tobytes().hex(), ed.v1.tobytes().hex())")
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t)).stdout
+            for t in ("1", "2")]
+    assert outs[0] == outs[1]
+    assert len(outs[0].split()) == 4
 
 
 class TestOverlaps:

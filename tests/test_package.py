@@ -40,3 +40,47 @@ def test_bp_path_import_loads_no_scipy(name):
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["oracles", "cli"])
+def test_cli_import_loads_no_scipy(name):
+    src = os.path.dirname(os.path.dirname(sparsetn.__file__))
+    code = f"import sys, sparsetn.{name}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_oracle_runs_load_no_scipy(tmp_path):
+    """Exact diagonalization on both CLI paths that run it, at Lanczos sizes, in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(sparsetn.__file__))
+    code = f"""
+import sys
+from sparsetn import cli
+out = {str(tmp_path)!r}
+runs = [
+    ["graph-gen", "--n", "10", "--r", "3", "--seed", "1", "--out", out + "/g10.json", "--out-dir", out],
+    ["var-prep", "--graph", out + "/g10.json", "--oracle", "--t-var", "2", "--out-dir", out + "/vp"],
+    ["graph-gen", "--n", "9", "--tree", "--out", out + "/g9.json", "--out-dir", out],
+    ["tfim-sweep", "--graph", out + "/g9.json", "--oracle", "--hx-grid", "1", "--t-var", "2", "--out-dir", out + "/ts"],
+]
+for argv in runs:
+    print(cli.main(argv), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:4] == ["0 []"] * 4
+    assert (tmp_path / "vp" / "var_prep_summary.json").exists()
+    assert (tmp_path / "ts" / "tfim_sweep_ed.csv").exists()
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_import_caps_blas_threads_unless_set(preset):
+    src = os.path.dirname(os.path.dirname(sparsetn.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = preset
+    code = "import os, sparsetn.cli; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [preset or "1"] * 2
