@@ -11,8 +11,9 @@ treated as failure).
 
 ``--threads`` is accepted by every subcommand and must be >= 1. ``tfim-sweep``
 runs its (hx, restart) jobs in that many processes; the others only record it.
-Importing this module sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 where unset: one BLAS
-thread per process. This has no effect if numpy was imported before this module.
+Importing this module sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``
+to 1 where they are unset, so each process runs one BLAS thread; this has no
+effect if numpy was imported before this module.
 """
 
 from __future__ import annotations
