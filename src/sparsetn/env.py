@@ -5,10 +5,13 @@ every leg but the open ones; a message ``m[x, x']`` takes the ket bond index
 ``x`` to the bra bond index ``x'``. The *gate* of a directed edge ``i -> j``
 is the ket layer of ``i`` open towards ``j`` contracted with the conjugate
 site tensor, with axes (ket phys, bra phys, ket bond, bra bond). The new
-message ``i -> j`` is its physical trace. The one-site block is the gate with
-no open leg; the two-site block on (a, b) is gate(a -> b) times gate(b -> a)
-over the shared bond. A term's value is tr(block h) / tr(block), and its
-gradient at fixed messages is the ket layer applied to (h - e) / tr(block).
+message ``i -> j`` is its physical trace. The one-site block of a vertex is
+its leg-0 gate closed with the message coming in on that leg; the two-site
+block on (a, b) is gate(a -> b) times gate(b -> a) over the shared bond. A
+term's value is tr(block h) / tr(block), and its gradient at fixed messages is
+the ket layer applied to (h - e) / tr(block): an edge term through the
+environment of each of its directed edges, a site term through that of its
+vertex's leg-0 edge.
 
 All of it is batched. Bonds are zero-padded to the largest bond dimension,
 which changes no contraction, and the site tensors of each vertex degree r are
@@ -178,35 +181,29 @@ class Environment:
 
     @cached_property
     def _kets(self):
-        """Per group: the conjugated rows, their ket layers and the full layer."""
-        kets = []
-        for (vs, r, closed, targets), (rows, bra) in zip(self.lay.groups, self._rows):
-            if not r:
-                kets.append((bra, None, rows))
-                continue
-            ket = _dress(rows, [self.msg_stack[ids] for ids in closed], 3)
-            # the leg-0 block keeps the stack's axis order; its open leg is absorbed last
-            full = _dress(ket[:len(vs)], [self.msg_stack[targets[:len(vs)] ^ 1]], 2)
-            kets.append((bra, ket, full))
-        return kets
+        """Per group: the conjugated rows and their ket layers (the rows themselves at degree 0)."""
+        return [(bra, _dress(rows, [self.msg_stack[ids] for ids in closed], 3) if r else rows)
+                for (_, r, closed, _), (rows, bra) in zip(self.lay.groups, self._rows)]
 
     @cached_property
     def _gates(self):
         """(2m, d, d, chi, chi) gates, indexed by directed edge."""
         d, chi = self.lay.phys_dim, self.lay.chi
         gates = np.empty((len(self.msg_stack), d, d, chi, chi), dtype=complex)
-        for (_, r, _, targets), (bra, ket, _) in zip(self.lay.groups, self._kets):
+        for (_, r, _, targets), (bra, ket) in zip(self.lay.groups, self._kets):
             if r:
                 gates[targets] = _close(ket, bra, 1)
         return gates
 
     @cached_property
     def site_blocks(self):
-        """(n, d, d) one-site blocks in vertex order."""
+        """(n, d, d) one-site blocks in vertex order: each vertex's leg-0 gate closed with its incoming message."""
         d = self.lay.phys_dim
         blocks = np.empty((len(self.lay.names) * self.lay.graph.n, d, d), dtype=complex)
-        for (vs, *_), (bra, _, full) in zip(self.lay.groups, self._kets):
-            blocks[vs] = _close(full, bra[:len(vs)], 0)
+        for (vs, r, _, targets), (bra, ket) in zip(self.lay.groups, self._kets):
+            t0 = targets[:len(vs)]
+            blocks[vs] = (np.einsum("kijxy,kxy->kij", self._gates[t0], self.msg_stack[t0 ^ 1]) if r
+                          else _close(ket, bra, 0))
         return blocks
 
     @cached_property
@@ -288,14 +285,15 @@ class Environment:
         envs = ops @ self._gates[np.arange(2 * m) ^ 1].reshape(2 * m, d * d, chi * chi)
         envs = envs.reshape(2 * m, d, d, chi, chi).transpose(0, 1, 4, 2, 3).reshape(2 * m, d * chi, d * chi)
         grads = []
-        for (vs, r, _, targets), (_, ket, full) in zip(self.lay.groups, self._kets):
-            grad = np.zeros_like(full)
-            if r:
-                rows = (envs[targets] @ ket.reshape(len(ket), d * chi, -1)).reshape((r,) + full.shape)
-                for l, block in enumerate(rows):
-                    grad += np.moveaxis(block, 2, 2 + l)
-            grad += (vert_ops[vs] @ full.reshape(len(vs), d, -1)).reshape(full.shape)
-            grads.append(grad)
+        for (vs, r, _, targets), (_, ket) in zip(self.lay.groups, self._kets):
+            if not r:
+                grads.append((vert_ops[vs] @ ket.reshape(len(vs), d, -1)).reshape(ket.shape))
+                continue
+            # a site term V acts through the environment of its leg-0 edge as V (x) m^T, m the message in on that leg
+            t0 = targets[:len(vs)]
+            envs[t0] += np.einsum("kqp,kxy->kqypx", vert_ops[vs], self.msg_stack[t0 ^ 1]).reshape(len(vs), d * chi, -1)
+            rows = (envs[targets] @ ket.reshape(len(ket), d * chi, -1)).reshape((r, len(vs)) + ket.shape[1:])
+            grads.append(sum(np.moveaxis(block, 2, 2 + l) for l, block in enumerate(rows)))
         return totals, grads
 
 

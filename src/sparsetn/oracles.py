@@ -166,18 +166,15 @@ def _block_lanczos(h, dim):
 def exact_diagonalize(h: Hamiltonian) -> EdResult:
     """Two lowest eigenpairs of the full Hamiltonian (n <= 14), with numpy only.
 
-    Dense Hermitian eigendecomposition up to n = 8; block Lanczos from a fixed
-    start at n = 9-14. Either pair is orthonormalized (a near-degenerate level
-    can give a non-orthogonal pair) and its residuals are verified to 1e-9.
+    Block Lanczos from a fixed start at every n. The pair is orthonormalized (a
+    near-degenerate level can give a non-orthogonal pair) and its residuals are
+    verified to 1e-9.
     """
     n = h.graph.n
     if n > 14:
         raise ValueError("exact_diagonalize supports n <= 14")
     op = _flip_diagonals(hamiltonian_terms(h), n)
-    if n <= 8:
-        w, v = np.linalg.eigh(_apply(op, np.eye(1 << n)).T)
-    else:
-        w, v = _block_lanczos(op, 1 << n)
+    w, v = _block_lanczos(op, 1 << n)
     order = np.argsort(w, kind="stable")[:2]
     q = np.linalg.qr(v[:, order])[0]
     res = float(np.linalg.norm(_apply(op, q.T).T - q * w[order], axis=0).max())

@@ -20,8 +20,6 @@ one graph under one ``VarConfig`` descend together, as copies in one ``Environme
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,6 +219,8 @@ def sweep(g: Graph, hx_values, cfg: VarConfig, restarts: int, base_seed: int = 0
     count = max(workers, -(-len(jobs) // per_chunk))
     chunks = [c for k in range(count) if (c := jobs[k * len(jobs) // count:(k + 1) * len(jobs) // count])]
     if workers > 1 and len(chunks) > 1:
+        import multiprocessing  # only a run that starts the pool loads it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(min(workers, len(chunks)), mp_context=multiprocessing.get_context("spawn")) as ex:
             return [pt for pts in ex.map(_sweep_points, *zip(*[(g, cfg, base_seed, c) for c in chunks])) for pt in pts]
     return [pt for c in chunks for pt in _sweep_points(g, cfg, base_seed, c)]

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
+import sparsetn.env
 from sparsetn.bp import bp_iterate, bp_step, init_messages, rdm
 from sparsetn.env import Environment, stacked
 from sparsetn.graph import Graph, grid_graph, random_regular
@@ -109,6 +110,24 @@ def test_bp_deltas_match_reference(seed, d):
     for (_, rdm_delta, msg_delta), (rdm_old, msg_old) in zip(steps, ref.run_bp_deltas(state, msgs, 4)):
         assert abs(rdm_delta - rdm_old) <= 1e-12 * max(rdm_old, 1e-3)
         assert abs(msg_delta - msg_old) <= 1e-12 * max(msg_old, 1e-3)
+
+
+def test_one_dressed_layer_per_group(monkeypatch):
+    """Gates, site blocks and the gradient of one message set dress each group of degree r >= 1 once, and close
+    each group once: its gates, or the blocks of the isolated vertex."""
+    state, msgs, h = mixed_state(0, 2)
+    calls = {"_dress": 0, "_close": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(sparsetn.env, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(sparsetn.env, name, counted)
+    env = Environment(state, msgs)
+    env.site_blocks
+    env.energy(env.lay.terms(h), gradient=True)
+    degrees = [r for _, r, *_ in env.lay.groups]
+    assert sorted(degrees) == [0, 1, 2, 3, 4]
+    assert calls == {"_dress": 4, "_close": 5}
 
 
 def test_failures_name_the_message_or_sites():

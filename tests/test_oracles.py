@@ -108,9 +108,9 @@ class TestTermListMatrix:
 
 
 class TestEigenpairTail:
-    """The 13-cycle TFIM goes through the Lanczos solver, the 8-vertex graph through
-    the dense one. The two lowest levels are exactly degenerate at hx = 0 and split
-    by about hx^13 on the cycle otherwise."""
+    """The 13-cycle TFIM and the 8-vertex graph both go through the Lanczos solver.
+    The two lowest levels are exactly degenerate at hx = 0 and split by about
+    hx^13 on the cycle otherwise."""
 
     @pytest.fixture(scope="class", params=[(13, 0.0), (13, 0.05), (8, 0.0)],
                     ids=["lanczos-0", "lanczos-0.05", "dense-0"])
@@ -192,6 +192,11 @@ LANCZOS_EDGE_CASES = {
     # eleven levels with a simple lowest one, so a block loses rank before the space is exhausted
     "edgeless-sum-z": lambda: Hamiltonian(graph=Graph(10, []), vertex_terms={a: PAULI_Z for a in range(10)}),
     "first-lanczos-size-n9": lambda: mixed_field_ising(random_regular(9, 4, seed=9), -1.0, -2.0, -0.5),
+    # classical Ising paths in a longitudinal field have few distinct levels, so a block vanishes while H is not
+    # zero, two or three times per run, and fresh random directions must take its place
+    "breakdown-path-n9": lambda: mixed_field_ising(build_tree(9, 1), jzz=-1.0, hx=0.0, hz=0.5),
+    "breakdown-path-n10": lambda: mixed_field_ising(build_tree(10, 1), jzz=-1.0, hx=0.0, hz=1.0),
+    "breakdown-path-n4": lambda: mixed_field_ising(build_tree(4, 1), jzz=-1.0, hx=0.0, hz=1.0),
 }
 
 

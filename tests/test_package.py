@@ -51,6 +51,16 @@ def test_cli_import_loads_no_scipy(name):
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    """Only a sweep that starts worker processes loads ``multiprocessing`` and ``concurrent.futures``."""
+    src = os.path.dirname(os.path.dirname(sparsetn.__file__))
+    code = ("import sys, sparsetn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_oracle_runs_load_no_scipy(tmp_path):
     """Exact diagonalization on both CLI paths that run it, at Lanczos sizes, in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(sparsetn.__file__))
