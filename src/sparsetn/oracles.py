@@ -131,35 +131,34 @@ def _apply(h, x):
 
 
 def _block_lanczos(h, dim):
-    """Two lowest Ritz pairs of block Lanczos (block size 2, fixed start, full reorthogonalization, twice).
+    """Two lowest Ritz pairs of block Lanczos (block size 2, fixed start, full reorthogonalization).
 
     Every fourth block the Ritz residuals ||b s|| are read from the block-tridiagonal ``t``: ``b`` couples
     the new block, ``s`` is a Ritz vector's last rows. A direction that vanishes, as when a zero or diagonal
     H exhausts the Krylov space, is replaced by a fresh random one with zero coupling.
     """
     rng = np.random.default_rng(0)
-    basis = np.empty((16, dim), dtype=h[1].dtype)  # grown by doubling
-    basis[:2] = np.linalg.qr(rng.standard_normal((dim, 2)))[0].T
-    t = np.zeros((16, 16), dtype=h[1].dtype)  # only its lower triangle is filled: all that eigh reads
     size = min(dim, 1024)  # basis vectors at most; a run not converged by then fails the final residual check
+    basis = np.empty((size, dim), dtype=h[1].dtype)  # rows not yet written cost no memory
+    basis[:2] = np.linalg.qr(rng.standard_normal((dim, 2)))[0].T
+    t = np.zeros((size, size), dtype=h[1].dtype)  # only its lower triangle is filled: all that eigh reads
     for k in range(0, size, 2):
         q = basis[:k + 2]
         reorth = lambda x: x - (q.conj() @ x.T).T @ q  # noqa: E731
         w = _apply(h, basis[k:k + 2])
         t[k:k + 2, k:k + 2] = basis[k:k + 2].conj() @ w.T
-        scale, w = np.linalg.norm(w), reorth(reorth(w))
+        lo = max(k - 2, 0)  # the three-term recurrence first, so the full pass removes only rounding errors
+        scale, w = np.linalg.norm(w), reorth(w - t[k:k + 2, lo:k + 2].conj() @ basis[lo:k + 2])
         r, s, u = np.linalg.svd(w, full_matrices=False)
         b, dead = (r * s).T, s <= 1e-12 * scale  # w's rows = b.T @ u's rows
-        if dead.all() or k % 8 == 6 or k + 2 == size:
+        if k % 8 == 6 or k + 2 == size:
             theta, vecs = np.linalg.eigh(t[:k + 2, :k + 2])
             if k + 2 == size or np.linalg.norm(b @ vecs[k:, :2], axis=0).max() <= 1e-10:  # 1e-9 is checked after
                 return theta[:2], q.T @ vecs[:, :2]
         if dead.any():
             b[dead], u[dead] = 0.0, rng.standard_normal((dead.sum(), dim))
-            fresh, upper = np.linalg.qr(reorth(reorth(u)).T)
+            fresh, upper = np.linalg.qr(reorth(u).T)
             u, b = fresh.T, upper @ b
-        if k + 4 > len(basis):
-            basis, t = np.concatenate([basis, np.empty_like(basis)]), np.pad(t, (0, len(t)))
         basis[k + 2:k + 4], t[k + 2:k + 4, k:k + 2] = u, b
 
 
@@ -175,12 +174,11 @@ def exact_diagonalize(h: Hamiltonian) -> EdResult:
         raise ValueError("exact_diagonalize supports n <= 14")
     op = _flip_diagonals(hamiltonian_terms(h), n)
     w, v = _block_lanczos(op, 1 << n)
-    order = np.argsort(w, kind="stable")[:2]
-    q = np.linalg.qr(v[:, order])[0]
-    res = float(np.linalg.norm(_apply(op, q.T).T - q * w[order], axis=0).max())
+    q = np.linalg.qr(v)[0]
+    res = float(np.linalg.norm(_apply(op, q.T).T - q * w, axis=0).max())
     if res > 1e-9:
         raise RuntimeError(f"eigenpair residual {res:.3e} exceeds 1e-9")
-    return EdResult(e0=float(w[order[0]]), e1=float(w[order[1]]), v0=q[:, 0], v1=q[:, 1])
+    return EdResult(e0=float(w[0]), e1=float(w[1]), v0=q[:, 0], v1=q[:, 1])
 
 
 def fidelity(state: TensorNetworkState, v) -> float:
@@ -234,8 +232,8 @@ def classical_ising_mc(
     if burn_in < 0 or sweeps <= burn_in:
         raise ValueError("need sweeps > burn_in >= 0")
     n_meas = sweeps - burn_in
-    if n_meas < batches:
-        raise ValueError("need at least one measurement sweep per batch")
+    if not 2 <= batches <= n_meas:  # batch-means errors need two batches, and a batch one measurement sweep
+        raise ValueError(f"need 2 <= batches <= {n_meas} measurement sweeps, got {batches}")
     rng = np.random.default_rng(seed)
     n = g.n
     nbrs = g.adjacency

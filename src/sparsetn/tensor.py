@@ -28,7 +28,7 @@ def symmetric_factor(m):
     For (numerically) real symmetric input this is the eigendecomposition
     ``m = v diag(w) v.T`` with ``a = v diag(sqrt(w))`` using principal complex
     square roots, which handles indefinite matrices. Genuinely complex
-    symmetric input falls back to the principal matrix square root.
+    symmetric input falls back to the principal square root ``v diag(sqrt(w)) v^-1``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -40,8 +40,8 @@ def symmetric_factor(m):
         a = v.astype(complex) @ np.diag(np.sqrt(w.astype(complex)))
     else:
         # principal square root of a symmetric matrix is symmetric, so a @ a.T = a @ a = m
-        import scipy.linalg  # only this branch needs scipy, whose import takes about 0.2 s
-        a = np.asarray(scipy.linalg.sqrtm(m), dtype=complex)
+        w, v = np.linalg.eig(m)
+        a = (v * np.sqrt(w)) @ np.linalg.inv(v)
     if not np.allclose(a @ a.T, m, rtol=0, atol=1e-10 * max(1.0, float(np.max(np.abs(m))))):
         raise RuntimeError("symmetric factorization failed (no admissible square root found)")
     return a

@@ -307,6 +307,11 @@ class TestObservables:
         obs = site_averaged_observables(s, msgs)
         assert obs.mean_abs_z > 0.95
 
+    def test_site_averages_reject_qudits(self):
+        s = random_state(cycle_graph(6), 2, 0, phys_dim=3)
+        with pytest.raises(ValueError, match="requires qubits"):
+            site_averaged_observables(s, init_messages(s, "identity"))
+
 
 class TestSerialization:
     def test_messages_round_trip(self):

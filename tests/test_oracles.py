@@ -182,6 +182,16 @@ def _y_model(n):
                        vertex_terms={a: (0.5 + 0.1 * a) * PAULI_Y + 0.3 * PAULI_Z for a in range(n)})
 
 
+def _stiff_model(seed):
+    """ZZ on each edge and X plus Z on each site, each coefficient 10^U(-3, 3), with random signs on ZZ and Z."""
+    g, rng = random_regular(10, 3, seed=seed), np.random.default_rng(seed)
+    size = lambda k: 10.0 ** rng.uniform(-3.0, 3.0, k)  # noqa: E731
+    sign = lambda k: rng.choice([-1.0, 1.0], k)  # noqa: E731
+    zz, x, z = sign(len(g.edges)) * size(len(g.edges)), size(g.n), sign(g.n) * size(g.n)
+    return Hamiltonian(graph=g, edge_terms={e: c * np.kron(PAULI_Z, PAULI_Z) for e, c in zip(g.edges, zz)},
+                       vertex_terms={a: x[a] * PAULI_X + z[a] * PAULI_Z for a in range(g.n)})
+
+
 LANCZOS_EDGE_CASES = {
     "complex-y-n9": lambda: _y_model(9),
     "complex-y-n11": lambda: _y_model(11),
@@ -197,6 +207,12 @@ LANCZOS_EDGE_CASES = {
     "breakdown-path-n9": lambda: mixed_field_ising(build_tree(9, 1), jzz=-1.0, hx=0.0, hz=0.5),
     "breakdown-path-n10": lambda: mixed_field_ising(build_tree(10, 1), jzz=-1.0, hx=0.0, hz=1.0),
     "breakdown-path-n4": lambda: mixed_field_ising(build_tree(4, 1), jzz=-1.0, hx=0.0, hz=1.0),
+    # coefficients over six decades: on seed 38, one Gram-Schmidt pass against the whole basis, without the
+    # three-term recurrence before it, loses orthogonality and fails the residual check at the 1024-vector cap
+    "stiff-n10": lambda: _stiff_model(1),
+    "stiff-n10-seed38": lambda: _stiff_model(38),
+    # a frustrated antiferromagnet in a weak field: e1 - e0 is about 1.3e-9
+    "frustrated-afm-n10": lambda: mixed_field_ising(random_regular(10, 3, seed=1), 1.0, 0.05, 0.0),
 }
 
 
@@ -224,6 +240,18 @@ def test_lanczos_bits_do_not_depend_on_blas_threads():
             for t in ("1", "2")]
     assert outs[0] == outs[1]
     assert len(outs[0].split()) == 4
+
+
+def test_residual_guard_rejects_a_wrong_pair(monkeypatch):
+    lanczos = sparsetn.oracles._block_lanczos
+
+    def shifted(h, dim):
+        w, v = lanczos(h, dim)
+        return w + np.array([1e-6, 0.0]), v
+
+    monkeypatch.setattr(sparsetn.oracles, "_block_lanczos", shifted)
+    with pytest.raises(RuntimeError, match="eigenpair residual"):
+        exact_diagonalize(transverse_field_ising(random_regular(8, 3, seed=1), 1.0))
 
 
 class TestOverlaps:
@@ -296,6 +324,11 @@ class TestMonteCarlo:
         g = p2()
         with pytest.raises(ValueError):
             classical_ising_mc(g, 0.5, 1.0, sweeps=100, burn_in=100, seed=0)
+
+    @pytest.mark.parametrize("batches", [0, 1, -3])
+    def test_rejects_fewer_than_two_batches(self, batches):
+        with pytest.raises(ValueError, match=f"got {batches}$"):
+            classical_ising_mc(p2(), 0.5, 1.0, sweeps=100, burn_in=10, seed=0, batches=batches)
 
     def test_edgeless_graph(self):
         with warnings.catch_warnings():

@@ -51,6 +51,17 @@ def test_cli_import_loads_no_scipy(name):
     assert out.stdout.strip() == "[]"
 
 
+def test_complex_generalized_graph_state_loads_no_scipy():
+    """The complex branch of ``tensor.symmetric_factor`` takes its matrix square root with numpy."""
+    src = os.path.dirname(os.path.dirname(sparsetn.__file__))
+    code = ("import sys; from sparsetn.graph import cycle_graph; from sparsetn.states import generalized_graph_state; "
+            "generalized_graph_state(cycle_graph(5), [[1 + 0.3j, 0.5], [0.5, 1 - 0.2j]]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_cli_import_loads_no_process_pool():
     """Only a sweep that starts worker processes loads ``multiprocessing`` and ``concurrent.futures``."""
     src = os.path.dirname(os.path.dirname(sparsetn.__file__))
