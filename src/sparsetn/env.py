@@ -17,9 +17,10 @@ All of it is batched. Bonds are zero-padded to the largest bond dimension,
 which changes no contraction, and the site tensors of each vertex degree r are
 stacked into one ``(G, d, chi, ..., chi)`` array; messages and gates are
 arrays indexed by directed edge. A group's ket layers are leg-stacked rows: r
-copies of the stack, copy l with leg l moved first, dressed together by r - 1
-contiguous matmuls. Gates, blocks, environments and gradients are reshaped
-batched matmuls, so a group costs a fixed number of numpy calls whatever r is.
+copies of the stack, copy l with leg l moved first, dressed together by at
+most r - 1 contiguous matmuls, one per leg or per pair of legs. Gates, blocks,
+environments and gradients are reshaped batched matmuls, so a group costs a
+fixed number of numpy calls whatever r is.
 Each stack and its rows are built once, on first use. Runs on one graph can share an environment as copies,
 as offsets within the lone graph's layout: copy p's vertex ids are shifted by p * n and its directed-edge ids by
 p * 2m. Each copy's values are exactly those of a lone run, energies are summed per copy, and errors name the copy
@@ -57,23 +58,38 @@ def unit_trace(mats, labels, error: str, names=("",)):
 
 
 def _pad(arrays, shape):
-    """The arrays zero-padded to ``shape`` and stacked."""
-    out = np.zeros((len(arrays),) + shape, dtype=complex)
+    """The arrays zero-padded to ``shape`` and stacked, with one store per distinct shape."""
+    out, by_shape = np.zeros((len(arrays),) + shape, dtype=complex), {}
     for i, a in enumerate(arrays):
-        out[(i,) + tuple(map(slice, np.shape(a)))] = a
+        by_shape.setdefault(np.shape(a), []).append(i)
+    for s, ids in by_shape.items():
+        out[(ids,) + tuple(map(slice, s))] = np.array([arrays[i] for i in ids])
     return out
 
 
-def _dress(t, msgs, axis):
-    """Absorb ``msgs[j]`` on axis ``axis + j`` of every tensor of the stack ``t``, for j in order.
+@lru_cache(maxsize=None)
+def _moved(ndim, source, destination):
+    """The axis order of ``np.moveaxis(a, source, destination)`` for an ``ndim``-axis ``a``."""
+    order = [ax for ax in range(ndim) if ax != source]
+    order.insert(destination, source)
+    return tuple(order)
 
-    Each leg in turn is rotated last and absorbed by one contiguous ``(B, rest, chi) @ (B, chi, chi)`` matmul.
+
+def _dress(t, msgs, axis):
+    """Absorb ``msgs[j]`` on axis ``axis + j`` of every tensor of the stack ``t``, for j in order: its trailing legs.
+
+    Each step rotates the next legs last and absorbs them by one contiguous matmul: two legs of widths a and b
+    through the Kronecker product of their messages, ``(B, rest, ab) @ (B, ab, ab)``, exactly when that costs no more
+    multiply-adds than one at a time (ab <= a + b: both are 2, or one is 1), else one leg, ``(B, rest, a) @ (B, a, a)``.
     """
-    n, shape, lead = len(t), t.shape, math.prod(t.shape[1:axis])
-    for m in msgs:
-        t = t.reshape(n, lead, m.shape[1], -1).swapaxes(2, 3).reshape(n, -1, m.shape[1]) @ m
-    # the absorbed legs now come last, in order; the legs that followed them move back behind them
-    return t.reshape(n, lead, -1, math.prod(shape[axis:axis + len(msgs)])).swapaxes(2, 3).reshape(shape)
+    n, shape, lead, j = len(t), t.shape, math.prod(t.shape[1:axis]), 0
+    while j < len(msgs):
+        m = msgs[j]
+        if j + 1 < len(msgs) and m.shape[1] * msgs[j + 1].shape[1] <= m.shape[1] + msgs[j + 1].shape[1]:
+            b, j = msgs[j + 1], j + 1
+            m = (m[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(m), m.shape[1] * b.shape[1], -1)
+        t, j = t.reshape(n, lead, m.shape[1], -1).swapaxes(2, 3).reshape(n, -1, m.shape[1]) @ m, j + 1
+    return t.reshape(shape)
 
 
 def _close(ket, bra, k):
@@ -133,7 +149,8 @@ class _Layout:
         return [stacks[gi][(i,) + tuple(map(slice, s))] for gi, i, s in zip(self.group_of, self.index_of, self.shapes)]
 
     def terms(self, h):
-        """One copy's edge terms in edge order, vertex terms per site (zero where none), and which terms exist."""
+        """One copy's edge terms in edge order, vertex terms per site (zero where none), which terms exist, and per
+        directed edge i -> j its edge term with rows (bra i, ket i) and columns (ket j, bra j)."""
         g, d, m = self.graph, self.phys_dim, len(self.graph.edges)
         if h.graph != g:
             raise ValueError("hamiltonian and state live on different graphs")
@@ -143,7 +160,9 @@ class _Layout:
         vert_ops, present = np.zeros((g.n, d, d), dtype=complex), np.arange(m + g.n) < m
         for a, op in h.vertex_terms.items():
             vert_ops[a], present[m + a] = op, True
-        return edge_ops, vert_ops, present
+        op4 = edge_ops.reshape(m, d, d, d, d)
+        dir_ops = np.stack([op4.transpose(0, 1, 3, 4, 2), op4.transpose(0, 2, 4, 3, 1)], 1).reshape(2 * m, d * d, d * d)
+        return edge_ops, vert_ops, present, dir_ops
 
 
 _layout = lru_cache(maxsize=16)(_Layout)
@@ -175,8 +194,8 @@ class Environment:
     @cached_property
     def _rows(self):
         """Per group: the leg-stacked rows (the first G are the stack) and their conjugate; ``step`` hands them on."""
-        rows = [np.stack([np.moveaxis(s, 2 + l, 2) for l in range(r)]).reshape((len(t),) + s.shape[1:]) if r else s
-                for (_, r, _, t), s in zip(self.lay.groups, self.stacks)]
+        rows = [np.stack([s.transpose(_moved(s.ndim, 2 + l, 2)) for l in range(r)]).reshape((len(t),) + s.shape[1:])
+                if r else s for (_, r, _, t), s in zip(self.lay.groups, self.stacks)]
         return [(x, x.conj()) for x in rows]
 
     @cached_property
@@ -192,7 +211,7 @@ class Environment:
         gates = np.empty((len(self.msg_stack), d, d, chi, chi), dtype=complex)
         for (_, r, _, targets), (bra, ket) in zip(self.lay.groups, self._kets):
             if r:
-                gates[targets] = _close(ket, bra, 1)
+                gates[targets] = np.ascontiguousarray(_close(ket, bra, 1))
         return gates
 
     @cached_property
@@ -216,7 +235,7 @@ class Environment:
 
     def step(self, damping: float = 0.0) -> "Environment":
         """The environment of the same site tensors under the next synchronous message set."""
-        raw = np.trace(self._gates, axis1=1, axis2=2)
+        raw = sum((self._gates[:, i, i] for i in range(1, self.lay.phys_dim)), self._gates[:, 0, 0])  # the trace
         new = unit_trace(raw, self.lay.graph.directed_edges, "message {}->{} lost positivity (trace={tr})",
                          self.lay.names)
         new = (1.0 - damping) * new + damping * self.msg_stack if damping else new
@@ -257,7 +276,7 @@ class Environment:
         ``terms`` comes from ``lay.terms``. The gradient is with respect to the conjugated
         site tensors at fixed messages: each term adds the ket layer applied to (h - e) / tr(block).
         """
-        edge_ops, vert_ops, present = terms
+        edge_ops, vert_ops, present, dir_ops = terms
         lay, d, chi, m = self.lay, self.lay.phys_dim, self.lay.chi, len(self.msg_stack) // 2
         copies, m1, n1 = len(lay.names), len(lay.graph.edges), lay.graph.n
         edge, site = self.edge_blocks, self.site_blocks
@@ -277,11 +296,12 @@ class Environment:
         totals = [sum(row, 0.0) for row in per_copy(e_val, s_val).tolist()]
         if not gradient:
             return totals, None
-        op4 = ((edge_ops - e_val[:, None, None] * np.eye(d * d)) / e_norm[:, None, None]).reshape(m, d, d, d, d)
+        # (h - e) / tr per directed edge i -> j; arranged as ``dir_ops``, the identity is delta(bra i, ket i)
+        # delta(ket j, bra j) in both directions. Times the gate of j -> i it is the environment of site i, rows
+        # (bra phys, bra bond) and columns (ket phys, ket bond)
+        eye = np.outer(np.eye(d), np.eye(d))
+        ops = (dir_ops - np.repeat(e_val, 2)[:, None, None] * eye) / np.repeat(e_norm, 2)[:, None, None]
         vert_ops = (vert_ops - s_val[:, None, None] * np.eye(d)) / s_norm[:, None, None]
-        # per directed edge i -> j: the term with rows (bra i, ket i) and columns (ket j, bra j); times the gate
-        # of j -> i it is the environment of site i, rows (bra phys, bra bond) and columns (ket phys, ket bond)
-        ops = np.stack([op4.transpose(0, 1, 3, 4, 2), op4.transpose(0, 2, 4, 3, 1)], 1).reshape(2 * m, d * d, d * d)
         envs = ops @ self._gates[np.arange(2 * m) ^ 1].reshape(2 * m, d * d, chi * chi)
         envs = envs.reshape(2 * m, d, d, chi, chi).transpose(0, 1, 4, 2, 3).reshape(2 * m, d * chi, d * chi)
         grads = []
@@ -293,7 +313,7 @@ class Environment:
             t0 = targets[:len(vs)]
             envs[t0] += np.einsum("kqp,kxy->kqypx", vert_ops[vs], self.msg_stack[t0 ^ 1]).reshape(len(vs), d * chi, -1)
             rows = (envs[targets] @ ket.reshape(len(ket), d * chi, -1)).reshape((r, len(vs)) + ket.shape[1:])
-            grads.append(sum(np.moveaxis(block, 2, 2 + l) for l, block in enumerate(rows)))
+            grads.append(sum(block.transpose(_moved(block.ndim, 2, 2 + l)) for l, block in enumerate(rows)))
         return totals, grads
 
 

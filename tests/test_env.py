@@ -130,6 +130,46 @@ def test_one_dressed_layer_per_group(monkeypatch):
     assert calls == {"_dress": 4, "_close": 5}
 
 
+# uniform leg widths, then alternating mixed ones; an odd leg count leaves a pair followed by a single leg
+DRESS_WIDTHS = [(1,), (2,), (3,), (4,), (1, 2), (1, 3), (2, 3), (3, 1)]
+
+
+def dress_inputs(widths, legs, stack, lead, seed=0):
+    """A ``(stack, *lead, w_0, ..., w_{legs-1})`` stack and one message stack per trailing leg, widths cycled."""
+    rng = np.random.default_rng(seed)
+    ws = [widths[j % len(widths)] for j in range(legs)]
+    t = rng.standard_normal((stack,) + lead + tuple(ws)) + 1j * rng.standard_normal((stack,) + lead + tuple(ws))
+    msgs = [rng.standard_normal((stack, w, w)) + 1j * rng.standard_normal((stack, w, w)) for w in ws]
+    return t, msgs
+
+
+@pytest.mark.parametrize("widths", DRESS_WIDTHS)
+@pytest.mark.parametrize("legs", range(6))
+def test_dress_matches_one_einsum_per_leg(widths, legs):
+    for stack in (1, 5):
+        for lead in [(2,), (2, 3)]:
+            t, msgs = dress_inputs(widths, legs, stack, lead)
+            axis = 1 + len(lead)
+            expect = t
+            for j, m in enumerate(msgs):
+                labels = list(range(t.ndim))
+                out = labels[:axis + j] + [t.ndim] + labels[axis + j + 1:]
+                expect = np.einsum(expect, labels, m, [0, axis + j, t.ndim], out)
+            assert_matches(sparsetn.env._dress(t, msgs, axis), expect)
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_dress_absorbs_wide_legs_one_at_a_time(width):
+    """At widths of 3 and more no pair is cheaper, so the result is bit for bit that of one matmul per leg."""
+    for legs in range(6):
+        for stack in (1, 5):
+            t, msgs = dress_inputs((width,), legs, stack, (2, 3))
+            expect = t
+            for m in msgs:
+                expect = expect.reshape(stack, 6, width, -1).swapaxes(2, 3).reshape(stack, -1, width) @ m
+            assert np.array_equal(sparsetn.env._dress(t, msgs, 3), expect.reshape(t.shape))
+
+
 def test_failures_name_the_message_or_sites():
     state, msgs, _ = mixed_state(0, 2)
     dead = {key: np.zeros_like(m) for key, m in msgs.items()}
