@@ -32,7 +32,10 @@ import numpy as np  # noqa: E402
 from . import bp, graph, hamiltonian, oracles, states, variational  # noqa: E402
 from .tensor import PAULI_X, PAULI_Z  # noqa: E402
 
-_STATE_KINDS = ("graph", "sqrt", "product", "random")
+# the variational init spec that each --state or --init name but "graph" stands for, from a seed, a beta and a j
+_INIT_SPECS = {"product": lambda seed, beta, j: variational.ProductInit(),
+               "sqrt": lambda seed, beta, j: variational.SqrtInit(beta, j),
+               "random": lambda seed, beta, j: variational.RandomInit(seed)}
 _MAX_GRID = 10**6
 _TRACE_HEADER = ["hx", "restart", "iteration", "energy", "energy_density", "mean_abs_z", "mean_x", "mean_zz",
                  "converged"]
@@ -51,16 +54,6 @@ def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _build_state(g: graph.Graph, kind: str, beta: float, j: float, chi: int, seed: int):
-    if kind == "graph":
-        return states.graph_state(g)
-    if kind == "sqrt":
-        return states.square_root_state(g, beta, j)
-    if kind == "product":
-        return states.product_state(g, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    return states.random_state(g, chi, seed)
 
 
 def _grid(spec: str):
@@ -106,7 +99,8 @@ def cmd_graph_gen(args) -> None:
 
 def cmd_bp_run(args) -> None:
     g = graph.load_graph(args.graph)
-    state = _build_state(g, args.state, args.beta, args.j, args.chi, args.seed)
+    state = (states.graph_state(g) if args.state == "graph"
+             else _INIT_SPECS[args.state](args.seed, args.beta, args.j).state(g, args.chi, 2))
     cfg = bp.BpConfig(max_steps=args.max_steps, rdm_tolerance=args.tol, damping=args.damping,
                       init=args.init, init_seed=args.seed)
     msgs, diag = bp.run_bp(state, cfg)
@@ -174,15 +168,10 @@ def cmd_sqrt_sweep(args) -> None:
 
 
 def _var_config(args) -> variational.VarConfig:
-    if args.init == "product":
-        init = variational.ProductInit()
-    elif args.init == "sqrt":
-        init = variational.SqrtInit(beta=args.init_beta)
-    else:
-        init = variational.RandomInit(seed=args.seed)
     return variational.VarConfig(
         t_var=args.t_var, t_bp=args.t_bp, n_gd=args.n_gd, gamma=args.gamma, chi=args.chi,
-        init=init, init_noise=args.init_noise, noise_seed=args.seed, bp_damping=args.bp_damping,
+        init=_INIT_SPECS[args.init](args.seed, args.init_beta, variational.SqrtInit.j),
+        init_noise=args.init_noise, noise_seed=args.seed, bp_damping=args.bp_damping,
     )
 
 
@@ -259,15 +248,15 @@ def _add_common(p):
 
 
 def _add_var_common(p):
-    p.add_argument("--chi", type=int, default=2)
-    p.add_argument("--t-var", type=int, default=50)
-    p.add_argument("--t-bp", type=int, default=5)
-    p.add_argument("--n-gd", type=int, default=10)
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--init", choices=["product", "sqrt", "random"], default="product")
+    p.add_argument("--chi", type=int, default=variational.VarConfig.chi)
+    p.add_argument("--t-var", type=int, default=variational.VarConfig.t_var)
+    p.add_argument("--t-bp", type=int, default=variational.VarConfig.t_bp)
+    p.add_argument("--n-gd", type=int, default=variational.VarConfig.n_gd)
+    p.add_argument("--gamma", type=float, default=variational.VarConfig.gamma)
+    p.add_argument("--init", choices=list(_INIT_SPECS), default="product")
     p.add_argument("--init-beta", type=float, default=0.2, help="beta for --init sqrt")
-    p.add_argument("--init-noise", type=float, default=1e-2)
-    p.add_argument("--bp-damping", type=float, default=0.0)
+    p.add_argument("--init-noise", type=float, default=variational.VarConfig.init_noise)
+    p.add_argument("--bp-damping", type=float, default=variational.VarConfig.bp_damping)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bp-run", help="run message iteration on a state and export diagnostics")
     p.add_argument("--graph", required=True)
-    p.add_argument("--state", choices=_STATE_KINDS, default="graph")
+    p.add_argument("--state", choices=["graph", *_INIT_SPECS], default="graph")
     p.add_argument("--beta", type=float, default=0.4)
     p.add_argument("--j", type=float, default=1.0)
     p.add_argument("--chi", type=int, default=2)
-    p.add_argument("--init", choices=["identity", "random"], default="identity")
-    p.add_argument("--max-steps", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--damping", type=float, default=0.0)
+    p.add_argument("--init", choices=["identity", "random"], default=bp.BpConfig.init)
+    p.add_argument("--max-steps", type=int, default=bp.BpConfig.max_steps)
+    p.add_argument("--tol", type=float, default=bp.BpConfig.rdm_tolerance)
+    p.add_argument("--damping", type=float, default=bp.BpConfig.damping)
     p.add_argument("--save-messages", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_bp_run)
@@ -302,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graphstate-check", help="observables of the graph state per message step")
     p.add_argument("--graph", required=True)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--init", choices=["identity", "random"], default="identity")
-    p.add_argument("--damping", type=float, default=0.0)
+    p.add_argument("--init", choices=["identity", "random"], default=bp.BpConfig.init)
+    p.add_argument("--damping", type=float, default=bp.BpConfig.damping)
     _add_common(p)
     p.set_defaults(func=cmd_graphstate_check)
 

@@ -183,11 +183,15 @@ class Environment:
     @cached_property
     def state(self) -> TensorNetworkState:
         """The lone copy's state; the copies of a stacked environment are read through ``copies``."""
+        if len(self.lay.names) > 1:
+            raise ValueError(f"a stack of {len(self.lay.names)} copies has no one state; read each via copies()")
         return TensorNetworkState(self.lay.graph, self.lay.unstack(self.stacks), self.lay.phys_dim)
 
     @cached_property
     def msgs(self) -> dict:
         """The lone copy's messages; the copies of a stacked environment are read through ``copies``."""
+        if len(self.lay.names) > 1:
+            raise ValueError(f"a stack of {len(self.lay.names)} copies has no one message set; read each via copies()")
         de, chis = self.lay.graph.directed_edges, self.lay.chis
         return {de[k]: self.msg_stack[k, :chis[k], :chis[k]] for k in self.lay.order}
 

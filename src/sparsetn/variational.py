@@ -58,16 +58,28 @@ class StepSizeError(RuntimeError):
 class ProductInit:
     vector: tuple = (2**-0.5, 2**-0.5)
 
+    def state(self, g: Graph, chi: int, phys_dim: int) -> TensorNetworkState:
+        """Every site in ``vector`` (by default |+>), at bond dimension 1; ``chi`` and ``phys_dim`` are unused."""
+        return product_state(g, self.vector)
+
 
 @dataclass(frozen=True)
 class SqrtInit:
     beta: float
     j: float = 1.0
 
+    def state(self, g: Graph, chi: int, phys_dim: int) -> TensorNetworkState:
+        """Ising square-root state at ``beta`` and ``j``, of bond dimension 2; ``chi`` and ``phys_dim`` are unused."""
+        return square_root_state(g, self.beta, self.j)
+
 
 @dataclass(frozen=True)
 class RandomInit:
     seed: int = 0
+
+    def state(self, g: Graph, chi: int, phys_dim: int) -> TensorNetworkState:
+        """A random state of bond dimension ``chi`` and physical dimension ``phys_dim``, drawn from ``seed``."""
+        return random_state(g, chi, self.seed, phys_dim)
 
 
 @dataclass
@@ -131,15 +143,9 @@ def energy_gradient(state: TensorNetworkState, msgs: dict, h: Hamiltonian):
 
 def _build_initial_state(g: Graph, cfg: VarConfig, noise_seed: int, phys_dim: int) -> TensorNetworkState:
     """The init spec's state, padded to bond dimension ``cfg.chi``, plus complex Gaussian noise from ``noise_seed``."""
-    init = cfg.init
-    if isinstance(init, ProductInit):
-        base = product_state(g, np.asarray(init.vector, dtype=complex))
-    elif isinstance(init, SqrtInit):
-        base = square_root_state(g, init.beta, init.j)
-    elif isinstance(init, RandomInit):
-        base = random_state(g, cfg.chi, init.seed, phys_dim)
-    else:
-        raise ValueError(f"unsupported init spec {init!r}")
+    if not isinstance(cfg.init, (ProductInit, SqrtInit, RandomInit)):
+        raise ValueError(f"unsupported init spec {cfg.init!r}")
+    base = cfg.init.state(g, cfg.chi, phys_dim)
     cur = max(base.bond_dims.values(), default=1)
     if cfg.chi < cur:
         raise ValueError(f"requested chi {cfg.chi} below the initial state's bond dimension {cur}")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -344,3 +346,18 @@ class TestConfigValidation:
             BpConfig(damping=1.0)
         with pytest.raises(ValueError):
             BpConfig(init="zeros")
+
+
+PATH = build_tree(3, 1)
+
+
+@pytest.mark.parametrize("run,error", [
+    (lambda: BpConfig(workers=0), "workers must be >= 1"),
+    (lambda: rdm(graph_state(PATH), init_messages(graph_state(PATH)), (0, 1, 0)), "sites must be distinct"),
+    (lambda: expectation(Rdm((0,), np.diag([1.0, 0.0])), np.diag([1j, 0.0])),
+     "expectation value has imaginary part 1.000e+00"),
+    (lambda: rdm_trace_distance(Rdm((0,), np.eye(2) / 2), Rdm((0,), np.eye(4) / 4)), "rdm dimensions do not match"),
+], ids=["workers", "distinct-sites", "imaginary-expectation", "rdm-dimensions"])
+def test_input_checks_name_the_problem(run, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        run()

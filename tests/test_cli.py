@@ -96,6 +96,21 @@ class TestBpRun:
         expected = dataclasses.asdict(bp._site_averages(diag.env))
         assert {k: obs[k] for k in expected} == expected
 
+    @pytest.mark.parametrize("kind,spec", [
+        ("product", variational.ProductInit()),
+        ("sqrt", variational.SqrtInit(beta=0.3, j=1.5)),
+        ("random", variational.RandomInit(seed=5)),
+    ])
+    def test_states_are_the_library_init_specs(self, tmp_path, graph_file, monkeypatch, kind, spec):
+        built, run_bp = [], bp.run_bp
+        monkeypatch.setattr(bp, "run_bp", lambda state, cfg: built.append(state) or run_bp(state, cfg))
+        assert main(["bp-run", "--graph", graph_file, "--state", kind, "--beta", "0.3", "--j", "1.5", "--chi", "3",
+                     "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+        expected = spec.state(load_graph(graph_file), 3, 2)
+        assert built[0].phys_dim == expected.phys_dim == 2
+        assert ([(t.shape, t.tobytes()) for t in built[0].site_tensors]
+                == [(t.shape, t.tobytes()) for t in expected.site_tensors])
+
 
 class TestGraphstateCheck:
     def test_columns_and_fixed_point(self, tmp_path, graph_file):
@@ -195,6 +210,7 @@ class TestVarPrep:
     @pytest.mark.parametrize("init,flags,spec", [
         ("sqrt", ["--init-beta", "0.3"], variational.SqrtInit(beta=0.3)),
         ("random", [], variational.RandomInit(seed=4)),
+        ("product", [], variational.ProductInit()),
     ])
     def test_init_kinds_match_library(self, tmp_path, graph_file, init, flags, spec):
         code = main(["var-prep", "--graph", graph_file, "--model", "tfim", "--hx", "1.5", "--t-var", "3",

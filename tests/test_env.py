@@ -21,7 +21,7 @@ from sparsetn.bp import bp_iterate, bp_step, init_messages, rdm
 from sparsetn.env import Environment, stacked
 from sparsetn.graph import Graph, grid_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian
-from sparsetn.states import TensorNetworkState
+from sparsetn.states import TensorNetworkState, random_state
 from sparsetn.variational import energy, energy_gradient
 
 RTOL = 1e-12
@@ -374,3 +374,17 @@ def test_drawn_networks_match_reference(net, damping):
     assert abs(energy(state, msgs, h) - e_ref) <= RTOL * max(abs(e_ref), 1.0)
     for new_grad, old_grad in zip(energy_gradient(state, msgs, h), g_ref, strict=True):
         assert_matches(new_grad, old_grad)
+
+
+def test_stacked_environment_has_no_lone_state_or_messages():
+    """A stack's state and messages are read per copy; reading them off the stack names the copy count."""
+    state = random_state(random_regular(6, 3, seed=1), 2, seed=0)
+    lone = Environment(state, init_messages(state, "random", 3))
+    env = stacked([lone, lone], ["a: ", "b: "])
+    with pytest.raises(ValueError, match=r"^a stack of 2 copies has no one state; read each via copies\(\)$"):
+        env.state
+    with pytest.raises(ValueError, match=r"^a stack of 2 copies has no one message set; read each via copies\(\)$"):
+        env.msgs
+    for copy in env.copies():
+        assert all(np.array_equal(a, b) for a, b in zip(copy.state.site_tensors, state.site_tensors))
+        assert all(np.array_equal(copy.msgs[e], lone.msgs[e]) for e in lone.msgs)

@@ -276,3 +276,24 @@ class TestSerialization:
     def test_rejects_malformed_structure(self, data, error):
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             graph_from_json(json.loads(json.dumps(data)))
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: Graph(0, []), "graph needs at least one vertex"),
+    (lambda: Graph(3, [(0, 3)]), "edge (0, 3) out of range for n=3"),
+    (lambda: random_regular(0, 3, seed=0), "n and r must be positive"),
+    (lambda: random_regular(4, 0, seed=0), "n and r must be positive"),
+    (lambda: build_tree(0, 2), "n must be >= 1"),
+    (lambda: build_tree(3, 0), "branching must be >= 1"),
+    (lambda: cycle_graph(2), "cycle needs n >= 3"),
+    (lambda: grid_graph(0, 3), "rows and cols must be >= 1"),
+    (lambda: expansion_bruteforce(Graph(1, [])), "expansion needs at least two vertices"),
+], ids=["no-vertex", "edge-range", "regular-n", "regular-r", "tree-n", "tree-branching", "cycle", "grid",
+        "expansion"])
+def test_input_checks_name_the_problem(build, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        build()
+
+
+def test_cycle_counts_below_length_three_are_empty():
+    assert count_cycles(cycle_graph(3), 2) == {}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,14 @@ class TestBuildModel:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             build_model("heisenberg", p2(), {})
+
+
+@pytest.mark.parametrize("edge_terms,vertex_terms,error", [
+    ({(0, 1): np.eye(4), (1, 2): np.eye(4), (0, 2): np.eye(4)}, {}, "edge term key (0, 2) is not a sorted graph edge"),
+    ({(0, 1): np.eye(2), (1, 2): np.eye(4)}, {}, "edge term (0, 1) must be 4x4"),
+    ({(0, 1): np.eye(4), (1, 2): np.eye(4)}, {0: np.eye(4)}, "vertex term 0 must be 2x2"),
+    ({(0, 1): np.eye(4), (1, 2): np.eye(4)}, {2: [[0, 1], [0, 0]]}, "vertex term 2 is not Hermitian within 1e-12"),
+], ids=["edge-key", "edge-shape", "vertex-shape", "vertex-hermitian"])
+def test_input_checks_name_the_problem(edge_terms, vertex_terms, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        Hamiltonian(graph=build_tree(3, 1), edge_terms=edge_terms, vertex_terms=vertex_terms)

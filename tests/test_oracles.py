@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -421,3 +422,12 @@ class TestStatevectorRdm:
         assert rho[2, 2] == pytest.approx(1.0)
         rho_swapped = statevector_rdm(v, 2, (1, 0))
         assert rho_swapped[1, 1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("run,error", [
+    (lambda: fidelity(graph_state(build_tree(2, 1)), np.ones(3)), "statevector dimensions do not match"),
+    (lambda: statevector_rdm(np.ones(3), 2, (0,)), "statevector length does not match qubit count"),
+], ids=["fidelity", "statevector-rdm"])
+def test_input_checks_name_the_problem(run, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        run()

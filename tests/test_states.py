@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -327,3 +328,24 @@ class TestFrontierContraction:
     def test_chi4_n14_fits(self):
         state = random_state(random_regular(14, 3, seed=0), 4, seed=0)
         assert traced_peak_mb(to_statevector, state) < 256
+
+
+EDGE = Graph(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: TensorNetworkState(EDGE, [np.ones((2, 1))], 2), "one site tensor per vertex required"),
+    (lambda: TensorNetworkState(Graph(1, []), [np.ones(3)], 2), "site 0: physical extent 3 != 2"),
+    (lambda: TensorNetworkState(EDGE, [np.ones((2, 2)), np.ones((2, 3))], 2),
+     "edge (0, 1): bond extents differ (2 vs 3)"),
+    (lambda: generalized_graph_state(EDGE, np.ones((2, 3))), "edge matrix must be square"),
+    (lambda: generalized_graph_state(EDGE, np.eye(2), factor=2 * np.eye(2)),
+     "factor does not satisfy factor @ factor.T == m"),
+    (lambda: product_state(EDGE, np.ones((2, 2))), "local state must be a vector"),
+    (lambda: random_state(EDGE, 0, seed=0), "chi must be >= 1"),
+    (lambda: to_statevector(TensorNetworkState(EDGE, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 2)),
+     "state has zero norm"),
+], ids=["tensor-count", "phys-extent", "bond-extents", "square", "factor", "vector", "chi", "zero-norm"])
+def test_input_checks_name_the_problem(build, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        build()

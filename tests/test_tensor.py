@@ -59,3 +59,9 @@ class TestSerialization:
         data = tensor_to_json(t)
         assert data["shape"] == [2, 3]
         assert data["re"] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(3)], ids=["rectangular", "vector"])
+def test_symmetric_factor_rejects_non_square_input(m):
+    with pytest.raises(ValueError, match="^symmetric_factor expects a square matrix$"):
+        symmetric_factor(m)

@@ -339,3 +339,13 @@ class TestSweep:
         with pytest.raises(StepSizeError) as err:
             sweep(g, hxs, cfg, restarts=2)
         assert str(err.value) == f"hx=3.5, restart={first}: {lone[first]}"
+
+
+@pytest.mark.parametrize("run,error", [
+    (lambda: VarConfig(init_noise=-1e-3), "init_noise must be >= 0"),
+    (lambda: sweep(cycle_graph(4), [1.0], VarConfig(t_var=1), restarts=0), "restarts must be >= 1"),
+    (lambda: sweep(cycle_graph(4), [1.0], VarConfig(t_var=1), restarts=1, workers=0), "workers must be >= 1"),
+], ids=["init-noise", "restarts", "workers"])
+def test_input_checks_name_the_problem(run, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        run()
