@@ -312,5 +312,5 @@ def bp_diagnostics_to_csv(diag: BpDiagnostics, path) -> None:
 
 def save_messages(msgs: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(messages_to_json(msgs), fh)
+        fh.write(json.dumps(messages_to_json(msgs)))
         fh.write("\n")

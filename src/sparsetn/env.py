@@ -20,7 +20,11 @@ arrays indexed by directed edge. A group's ket layers are leg-stacked rows: r
 copies of the stack, copy l with leg l moved first, dressed together by at
 most r - 1 contiguous matmuls, one per leg or per pair of legs. Gates, blocks,
 environments and gradients are reshaped batched matmuls, so a group costs a
-fixed number of numpy calls whatever r is.
+fixed number of numpy calls whatever r is. Those whose right-hand matrices have
+at most 16 entries, and the paired absorptions (on a 3-regular graph at chi = 2
+and d = 2, every one), run as real matmuls, which numpy does several times
+faster than complex ones at these sizes; the rule reads only each matrix's
+shape, so a stacked copy keeps its lone bits.
 Each stack and its rows are built once, on first use. Runs on one graph can share an environment as copies,
 as offsets within the lone graph's layout: copy p's vertex ids are shifted by p * n and its directed-edge ids by
 p * 2m. Each copy's values are exactly those of a lone run, energies are summed per copy, and errors name the copy
@@ -75,6 +79,17 @@ def _moved(ndim, source, destination):
     return tuple(order)
 
 
+def _mm(a, b):
+    """``a @ b`` for complex stacks ``(B, p, k) @ (B, k, m)``; with k * m <= 16 as one real matmul, ``a`` read as
+    (re, im) pairs and each entry of ``b`` as the real block [[re, im], [-im, re]]."""
+    k, m = b.shape[1:]
+    if k * m > 16:
+        return a @ b
+    e = np.empty((len(b), k, 2, m), dtype=complex)
+    e[:, :, 0], e[:, :, 1] = b, 1j * b
+    return (a.view(float) @ e.view(float).reshape(len(b), 2 * k, 2 * m)).view(complex)
+
+
 def _dress(t, msgs, axis):
     """Absorb ``msgs[j]`` on axis ``axis + j`` of every tensor of the stack ``t``, for j in order: its trailing legs.
 
@@ -85,10 +100,12 @@ def _dress(t, msgs, axis):
     n, shape, lead, j = len(t), t.shape, math.prod(t.shape[1:axis]), 0
     while j < len(msgs):
         m = msgs[j]
-        if j + 1 < len(msgs) and m.shape[1] * msgs[j + 1].shape[1] <= m.shape[1] + msgs[j + 1].shape[1]:
+        paired = j + 1 < len(msgs) and m.shape[1] * msgs[j + 1].shape[1] <= m.shape[1] + msgs[j + 1].shape[1]
+        if paired:
             b, j = msgs[j + 1], j + 1
             m = (m[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(m), m.shape[1] * b.shape[1], -1)
-        t, j = t.reshape(n, lead, m.shape[1], -1).swapaxes(2, 3).reshape(n, -1, m.shape[1]) @ m, j + 1
+        t, j = t.reshape(n, lead, m.shape[1], -1).swapaxes(2, 3).reshape(n, -1, m.shape[1]), j + 1
+        t = _mm(t, m) if paired else t @ m
     return t.reshape(shape)
 
 
@@ -100,7 +117,7 @@ def _close(ket, bra, k):
     """
     n, d, opened = bra.shape[0], bra.shape[1], bra.shape[2:2 + k]
     rows = d * math.prod(opened)
-    gate = ket.reshape(n, rows, -1) @ bra.reshape(n, rows, -1).swapaxes(1, 2)
+    gate = _mm(ket.reshape(n, rows, -1), bra.reshape(n, rows, -1).swapaxes(1, 2))
     perm = [0, 1, 2 + k] + [ax for l in range(k) for ax in (2 + l, 3 + k + l)]
     return gate.reshape((n, d) + opened + (d,) + opened).transpose(perm)
 
@@ -125,6 +142,7 @@ class _Layout:
         self.graph, self.shapes, self.names, self.phys_dim = graph, shapes, names, shapes[0][0]
         self.chis = [shapes[a][1 + graph.leg(a, b)] for a, b in de]
         self.chi = max(self.chis, default=1)
+        self.eyes = np.outer(np.eye(self.phys_dim), np.eye(self.phys_dim)), np.eye(self.phys_dim)
         self.order = sorted(range(len(de)), key=de.__getitem__)
         by_degree = {}
         for v in range(graph.n):
@@ -234,7 +252,7 @@ class Environment:
         """(m, d^2, d^2) two-site blocks in edge order, the smaller vertex most significant."""
         d, chi, m = self.lay.phys_dim, self.lay.chi, len(self.msg_stack) // 2
         pair = self._gates.reshape(m, 2, d * d, chi * chi)
-        blocks = pair[:, 0] @ pair[:, 1].swapaxes(1, 2)
+        blocks = _mm(pair[:, 0], pair[:, 1].swapaxes(1, 2))
         return blocks.reshape(m, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(m, d * d, d * d)
 
     def step(self, damping: float = 0.0) -> "Environment":
@@ -302,11 +320,11 @@ class Environment:
             return totals, None
         # (h - e) / tr per directed edge i -> j; arranged as ``dir_ops``, the identity is delta(bra i, ket i)
         # delta(ket j, bra j) in both directions. Times the gate of j -> i it is the environment of site i, rows
-        # (bra phys, bra bond) and columns (ket phys, ket bond)
-        eye = np.outer(np.eye(d), np.eye(d))
-        ops = (dir_ops - np.repeat(e_val, 2)[:, None, None] * eye) / np.repeat(e_norm, 2)[:, None, None]
-        vert_ops = (vert_ops - s_val[:, None, None] * np.eye(d)) / s_norm[:, None, None]
-        envs = ops @ self._gates[np.arange(2 * m) ^ 1].reshape(2 * m, d * d, chi * chi)
+        # (bra phys, bra bond) and columns (ket phys, ket bond). It multiplies by 1 / tr: numpy would divide complex
+        # by real as complex division
+        ops = (dir_ops - np.repeat(e_val, 2)[:, None, None] * lay.eyes[0]) * np.repeat(1.0 / e_norm, 2)[:, None, None]
+        vert_ops = (vert_ops - s_val[:, None, None] * lay.eyes[1]) * (1.0 / s_norm)[:, None, None]
+        envs = _mm(ops, self._gates[np.arange(2 * m) ^ 1].reshape(2 * m, d * d, chi * chi))
         envs = envs.reshape(2 * m, d, d, chi, chi).transpose(0, 1, 4, 2, 3).reshape(2 * m, d * chi, d * chi)
         grads = []
         for (vs, r, _, targets), (_, ket) in zip(self.lay.groups, self._kets):
@@ -316,7 +334,7 @@ class Environment:
             # a site term V acts through the environment of its leg-0 edge as V (x) m^T, m the message in on that leg
             t0 = targets[:len(vs)]
             envs[t0] += np.einsum("kqp,kxy->kqypx", vert_ops[vs], self.msg_stack[t0 ^ 1]).reshape(len(vs), d * chi, -1)
-            rows = (envs[targets] @ ket.reshape(len(ket), d * chi, -1)).reshape((r, len(vs)) + ket.shape[1:])
+            rows = _mm(envs[targets], ket.reshape(len(ket), d * chi, -1)).reshape((r, len(vs)) + ket.shape[1:])
             grads.append(sum(block.transpose(_moved(block.ndim, 2, 2 + l)) for l, block in enumerate(rows)))
         return totals, grads
 

@@ -304,7 +304,7 @@ def graph_from_json(data: dict) -> Graph:
 
 def save_graph(g: Graph, path) -> None:
     with open(path, "w") as fh:
-        json.dump(graph_to_json(g), fh)
+        fh.write(json.dumps(graph_to_json(g)))
         fh.write("\n")
 
 

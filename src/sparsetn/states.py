@@ -195,7 +195,7 @@ def state_from_json(data: dict) -> TensorNetworkState:
 
 def save_state(state: TensorNetworkState, path) -> None:
     with open(path, "w") as fh:
-        json.dump(state_to_json(state), fh)
+        fh.write(json.dumps(state_to_json(state)))
         fh.write("\n")
 
 

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -302,6 +304,21 @@ class TestTfimSweep:
         assert main(args + ["--out-dir", str(d1), "--threads", "1"]) == 0
         assert main(args + ["--out-dir", str(d2), "--threads", "2"]) == 0
         assert (d1 / "tfim_sweep.csv").read_bytes() == (d2 / "tfim_sweep.csv").read_bytes()
+
+    def test_blas_threads_preserve_output(self, tmp_path):
+        """The chi = 2 layer's real matmuls give the same bits under one and two BLAS threads."""
+        gpath = tmp_path / "g8.json"
+        save_graph(random_regular(8, 3, seed=1), gpath)
+        src = os.path.dirname(os.path.dirname(variational.__file__))
+        outs = [tmp_path / f"blas{t}" for t in ("1", "2")]
+        for t, out in zip(("1", "2"), outs):
+            argv = ["tfim-sweep", "--graph", str(gpath), "--hx-grid", "1.0,3.0", "--restarts", "2", "--t-var", "5",
+                    "--chi", "2", "--out-dir", str(out)]
+            code = f"import sys; from sparsetn.cli import main; sys.exit(main({argv!r}))"
+            subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t))
+        for name in ("tfim_sweep.csv", "tfim_sweep_trace.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("spec,values", [

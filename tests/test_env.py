@@ -170,6 +170,37 @@ def test_dress_absorbs_wide_legs_one_at_a_time(width):
             assert np.array_equal(sparsetn.env._dress(t, msgs, 3), expect.reshape(t.shape))
 
 
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# right-hand shapes the real form serves: 1x1 to 4x4, and 2x8 / 8x2 at its 16-entry bound
+REAL_FORM_SHAPES = [(k, m) for k in range(1, 5) for m in range(1, 5)] + [(2, 8), (8, 2)]
+
+
+@pytest.mark.parametrize("k,m", REAL_FORM_SHAPES)
+def test_small_products_run_as_real_matmuls(k, m):
+    """Right-hand matrices of at most 16 entries go through one real matmul and give the complex product, also from
+    a ``swapaxes`` view of the right-hand stack, as ``_close`` and ``edge_blocks`` pass it."""
+    rng = np.random.default_rng(10 * k + m)
+    for stack in (1, 5):
+        for rows in range(1, 17):
+            a = complex_normal(rng, (stack, rows, k))
+            for b in (complex_normal(rng, (stack, k, m)), complex_normal(rng, (stack, m, k)).swapaxes(1, 2)):
+                expect = a @ b
+                got = sparsetn.env._mm(a, b)
+                assert got.shape == expect.shape and got.dtype == complex
+                assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("k,m", [(1, 17), (17, 1), (2, 9), (5, 4), (4, 8), (16, 16)])
+def test_larger_products_stay_complex_matmuls(k, m):
+    rng = np.random.default_rng(k + m)
+    for stack in (1, 5):
+        a, b = complex_normal(rng, (stack, 3, k)), complex_normal(rng, (stack, k, m))
+        assert np.array_equal(sparsetn.env._mm(a, b), a @ b)
+
+
 def test_failures_name_the_message_or_sites():
     state, msgs, _ = mixed_state(0, 2)
     dead = {key: np.zeros_like(m) for key, m in msgs.items()}

@@ -99,6 +99,12 @@ class TestGeneralizedGraphState:
             generalized_graph_state(p2(), np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_nilpotent_edge_matrix_gives_the_state_of_a_hand_factor():
+    m = np.array([[1.0, 1.0j], [1.0j, -1.0]])
+    v = to_statevector(generalized_graph_state(cycle_graph(3), m))
+    match_up_to_phase(v, to_statevector(generalized_graph_state(cycle_graph(3), m, factor=[[1, 0], [1j, 0]])))
+
+
 class TestSquareRootState:
     def test_beta_zero_is_uniform_superposition(self):
         g = random_regular(6, 3, seed=1)

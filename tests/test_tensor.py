@@ -65,3 +65,18 @@ class TestSerialization:
 def test_symmetric_factor_rejects_non_square_input(m):
     with pytest.raises(ValueError, match="^symmetric_factor expects a square matrix$"):
         symmetric_factor(m)
+
+
+# Nilpotent complex symmetric matrices: no square root, but a Takagi factor. [[1, i], [i, -1]] = v v^T for v = (1, i)
+# squares to zero; the 3x3 one cubes to zero, and numpy's eig returns an exactly singular eigenvector matrix for it.
+DEFECTIVE = {
+    "nilpotent": np.array([[1.0, 1.0j], [1.0j, -1.0]]),
+    "singular-eigenvectors": np.array([[0, -1 + 1j, 1 + 1j], [-1 + 1j, -1 - 1j, -1 + 1j], [1 + 1j, -1 + 1j, 1 + 1j]]),
+}
+
+
+@pytest.mark.parametrize("name", DEFECTIVE)
+def test_symmetric_factor_of_defective_matrices(name):
+    m = DEFECTIVE[name]
+    a = symmetric_factor(m)
+    np.testing.assert_allclose(a @ a.T, m, atol=1e-12)
