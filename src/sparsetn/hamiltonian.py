@@ -45,6 +45,8 @@ class Hamiltonian:
             if not np.allclose(h, h.conj().T, rtol=0, atol=1e-12):
                 raise ValueError(f"edge term ({a}, {b}) is not Hermitian within 1e-12")
         for a, h in self.vertex_terms.items():
+            if not isinstance(a, (int, np.integer)) or not 0 <= a < self.graph.n:
+                raise ValueError(f"vertex term key {a} is not a vertex of the graph")
             h = np.asarray(h)
             if h.shape != (d, d):
                 raise ValueError(f"vertex term {a} must be {d}x{d}")

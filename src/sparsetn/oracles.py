@@ -24,8 +24,6 @@ __all__ = [
     "McResult",
     "ClassicalExpectations",
     "hamiltonian_terms",
-    "term_list_matrix",
-    "hamiltonian_matrix",
     "exact_diagonalize",
     "fidelity",
     "ground_space_overlap",
@@ -91,18 +89,6 @@ def _embed(op, sites, n):
     index = np.moveaxis(np.arange(1 << n).reshape((2,) * n), sites, range(k)).reshape(1 << k, -1)
     pp, p = np.nonzero(opd)
     return index[pp].ravel(), index[p].ravel(), np.repeat(opd[pp, p], index.shape[1])
-
-
-def term_list_matrix(terms, n) -> "scipy.sparse.csr_matrix":
-    """Sparse matrix of a sum of local terms given as (sites, matrix) pairs."""
-    import scipy.sparse  # only the sparse-matrix builders need scipy; exact_diagonalize does not
-    fs, d = _flip_diagonals(terms, n)
-    rows = np.broadcast_to(np.arange(1 << n), d.shape)
-    return scipy.sparse.csr_matrix((d.ravel(), (rows.ravel(), (rows ^ fs[:, None]).ravel())), shape=(1 << n, 1 << n))
-
-
-def hamiltonian_matrix(h: Hamiltonian) -> "scipy.sparse.csr_matrix":
-    return term_list_matrix(hamiltonian_terms(h), h.graph.n)
 
 
 def _flip_diagonals(terms, n):

@@ -28,32 +28,24 @@ def symmetric_factor(m):
     For (numerically) real symmetric input this is the eigendecomposition
     ``m = v diag(w) v.T`` with ``a = v diag(sqrt(w))`` using principal complex
     square roots, which handles indefinite matrices. Genuinely complex
-    symmetric input falls back to the principal square root ``v diag(sqrt(w)) v^-1``, and a defective
-    one with no such root to its Takagi factorization ``m = u diag(s) u.T``, with ``a = u diag(sqrt(s))``.
+    symmetric input, defective or not, takes its Takagi factorization
+    ``m = u diag(s) u.T`` with ``u`` unitary and ``s >= 0``, and ``a = u diag(sqrt(s))``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("symmetric_factor expects a square matrix")
     if not np.allclose(m, m.T, rtol=1e-12, atol=1e-12):
         raise ValueError("matrix is not symmetric within 1e-12")
-    atol, n = 1e-10 * max(1.0, float(np.max(np.abs(m)))), len(m)
     if np.max(np.abs(m.imag)) <= 1e-12:
         w, v = np.linalg.eigh(m.real)
         a = v.astype(complex) @ np.diag(np.sqrt(w.astype(complex)))
     else:
-        # principal square root of a symmetric matrix is symmetric, so a @ a.T = a @ a = m
-        w, v = np.linalg.eig(m)
-        try:
-            a = (v * np.sqrt(w)) @ np.linalg.inv(v)
-        except np.linalg.LinAlgError:  # no eigenbasis
-            a = None
-        if a is None or not np.allclose(a @ a.T, m, rtol=0, atol=atol):
-            # a defective m may have no square root, but has the Takagi factorization m = u diag(s) u.T, u unitary
-            # and s its singular values. With m = b + ic, a column x + iy of u solves m conj(u) = s u: (x, y) is an
-            # eigenvector of the real symmetric [[b, c], [c, -b]] of eigenvalue s, whose eigenvalues are the pairs +-s
-            w, v = np.linalg.eigh(np.block([[m.real, m.imag], [m.imag, -m.real]]))
-            a = (v[:n, n:] + 1j * v[n:, n:]) * np.sqrt(np.maximum(w[n:], 0.0))
-    if not np.allclose(a @ a.T, m, rtol=0, atol=atol):
+        # with m = b + ic, a column x + iy of u solves m conj(u) = s u: (x, y) is an eigenvector of the real
+        # symmetric [[b, c], [c, -b]] of eigenvalue s, whose eigenvalues are the pairs +-s
+        n = len(m)
+        w, v = np.linalg.eigh(np.block([[m.real, m.imag], [m.imag, -m.real]]))
+        a = (v[:n, n:] + 1j * v[n:, n:]) * np.sqrt(np.maximum(w[n:], 0.0))
+    if not np.allclose(a @ a.T, m, rtol=0, atol=1e-10 * max(1.0, float(np.max(np.abs(m))))):
         raise RuntimeError("symmetric factorization failed (no admissible square root found)")
     return a
 

@@ -1,13 +1,33 @@
-"""Plain-einsum reference kernels for the contraction layer.
+"""Plain-einsum reference kernels for the contraction layer, and the sparse Hamiltonian reference.
 
 These are the package's original message, reduced-density-matrix, energy and
 gradient kernels, kept verbatim in logic: every quantity is one labelled
 ``np.einsum`` (or a labelled ``tensordot`` loop) over the site tensors and
 messages, with no shared intermediate. ``test_env`` checks the shared
 dressed-site-tensor layer against them.
+
+``term_list_matrix`` and ``hamiltonian_matrix`` build a Hamiltonian as a scipy
+CSR matrix from the same flip-grouped nonzeros that ``oracles`` applies
+matrix-free, so the tests can check exact diagonalization, energies and
+parent Hamiltonians against an explicit matrix. They are the tests' only
+scipy code; the package itself depends on numpy alone.
 """
 
 import numpy as np
+import scipy.sparse
+
+from sparsetn.oracles import _flip_diagonals, hamiltonian_terms
+
+
+def term_list_matrix(terms, n) -> scipy.sparse.csr_matrix:
+    """Sparse matrix of a sum of local terms given as (sites, matrix) pairs."""
+    fs, d = _flip_diagonals(terms, n)
+    rows = np.broadcast_to(np.arange(1 << n), d.shape)
+    return scipy.sparse.csr_matrix((d.ravel(), (rows.ravel(), (rows ^ fs[:, None]).ravel())), shape=(1 << n, 1 << n))
+
+
+def hamiltonian_matrix(h) -> scipy.sparse.csr_matrix:
+    return term_list_matrix(hamiltonian_terms(h), h.graph.n)
 
 
 def raw_out_message(t, in_msgs, skip):

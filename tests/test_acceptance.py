@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from reference_kernels import term_list_matrix
 from sparsetn.bp import (
     BpConfig,
     bp_step,
@@ -32,7 +33,6 @@ from sparsetn.oracles import (
     exact_diagonalize,
     ground_space_overlap,
     statevector_rdm,
-    term_list_matrix,
 )
 from sparsetn.states import (
     graph_state,

@@ -11,7 +11,8 @@ from sparsetn.hamiltonian import (
     sqrt_parent_hamiltonian,
     transverse_field_ising,
 )
-from sparsetn.oracles import exact_diagonalize, hamiltonian_matrix, term_list_matrix
+from reference_kernels import hamiltonian_matrix, term_list_matrix
+from sparsetn.oracles import exact_diagonalize
 from sparsetn.states import square_root_state, to_statevector
 from sparsetn.tensor import PAULI_X, PAULI_Z
 
@@ -146,7 +147,11 @@ class TestBuildModel:
     ({(0, 1): np.eye(2), (1, 2): np.eye(4)}, {}, "edge term (0, 1) must be 4x4"),
     ({(0, 1): np.eye(4), (1, 2): np.eye(4)}, {0: np.eye(4)}, "vertex term 0 must be 2x2"),
     ({(0, 1): np.eye(4), (1, 2): np.eye(4)}, {2: [[0, 1], [0, 0]]}, "vertex term 2 is not Hermitian within 1e-12"),
-], ids=["edge-key", "edge-shape", "vertex-shape", "vertex-hermitian"])
+    ({(0, 1): np.eye(4), (1, 2): np.eye(4)}, {-1: PAULI_X}, "vertex term key -1 is not a vertex of the graph"),
+    ({(0, 1): np.eye(4), (1, 2): np.eye(4)}, {3: PAULI_X}, "vertex term key 3 is not a vertex of the graph"),
+    ({(0, 1): np.eye(4), (1, 2): np.eye(4)}, {1.0: PAULI_X}, "vertex term key 1.0 is not a vertex of the graph"),
+], ids=["edge-key", "edge-shape", "vertex-shape", "vertex-hermitian", "vertex-key-negative", "vertex-key-too-large",
+        "vertex-key-float"])
 def test_input_checks_name_the_problem(edge_terms, vertex_terms, error):
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         Hamiltonian(graph=build_tree(3, 1), edge_terms=edge_terms, vertex_terms=vertex_terms)

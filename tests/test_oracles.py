@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
+from reference_kernels import hamiltonian_matrix, term_list_matrix
 import sparsetn
 
 from sparsetn.bp import BpConfig, expectation, rdm, run_bp
@@ -19,10 +20,8 @@ from sparsetn.oracles import (
     exact_diagonalize,
     fidelity,
     ground_space_overlap,
-    hamiltonian_matrix,
     hamiltonian_terms,
     statevector_rdm,
-    term_list_matrix,
 )
 from sparsetn.states import graph_state, product_state, square_root_state, to_statevector
 from sparsetn.tensor import PAULI_X, PAULI_Y, PAULI_Z

@@ -1,9 +1,11 @@
 """Each public name has one import path, its submodule, and one declaration, that module's ``__all__``."""
 
+import ast
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -23,6 +25,27 @@ def test_all_lists_every_public_function_and_class(name):
                if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == mod.__name__}
     assert sorted(defined - set(mod.__all__)) == []
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    """Every module of ``src/sparsetn`` imports the standard library, numpy or its own package, and numpy is the
+    only declared dependency."""
+    tomllib = pytest.importorskip("tomllib")
+    pkg = os.path.dirname(sparsetn.__file__)
+    imported = set()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update((name, a.name.split(".")[0]) for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add((name, node.module.split(".")[0]))
+    assert sorted((f, m) for f, m in imported if m not in sys.stdlib_module_names and m != "numpy") == []
+    with open(os.path.join(os.path.dirname(os.path.dirname(pkg)), "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
 
 
 def test_graph_import_loads_no_scipy():
@@ -52,7 +75,7 @@ def test_cli_import_loads_no_scipy(name):
 
 
 def test_complex_generalized_graph_state_loads_no_scipy():
-    """The complex branch of ``tensor.symmetric_factor`` takes its matrix square root with numpy."""
+    """The complex branch of ``tensor.symmetric_factor`` takes its Takagi factorization with numpy."""
     src = os.path.dirname(os.path.dirname(sparsetn.__file__))
     code = ("import sys; from sparsetn.graph import cycle_graph; from sparsetn.states import generalized_graph_state; "
             "generalized_graph_state(cycle_graph(5), [[1 + 0.3j, 0.5], [0.5, 1 - 0.2j]]); "

@@ -8,7 +8,8 @@ from sparsetn import variational
 from sparsetn.bp import BpConfig, bp_step, init_messages, run_bp, site_averaged_observables
 from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian, mixed_field_ising, transverse_field_ising
-from sparsetn.oracles import exact_diagonalize, hamiltonian_matrix
+from reference_kernels import hamiltonian_matrix
+from sparsetn.oracles import exact_diagonalize
 from sparsetn.states import product_state, random_state, to_statevector
 from sparsetn.variational import (
     ProductInit,
