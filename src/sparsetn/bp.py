@@ -106,23 +106,27 @@ def init_messages(state: TensorNetworkState, init: str = "identity", seed: int =
     """One PSD unit-trace matrix per directed edge.
 
     ``identity`` gives I/chi; ``random`` gives a seeded Gram matrix
-    G^dagger G / tr(G^dagger G) of a complex Gaussian G.
+    G^dagger G / tr(G^dagger G) of a complex Gaussian G. One
+    ``standard_normal`` call draws every edge's entries in edge order (its
+    real chi x chi block, then its imaginary one, as a draw per edge would),
+    and the Gram matrices of each bond dimension are one batched matmul.
     """
     if init not in ("identity", "random"):
         raise ValueError("init must be 'identity' or 'random'")
-    g = state.graph
-    rng = np.random.default_rng(seed)
+    edges = state.graph.directed_edges
+    chis = [state.bond_dim(a, b) for a, b in edges]
+    if init == "identity":
+        return {e: np.eye(chi, dtype=complex) / chi for e, chi in zip(edges, chis)}
+    sizes = [2 * chi * chi for chi in chis]
+    z = np.split(np.random.default_rng(seed).standard_normal(sum(sizes)), np.cumsum(sizes)[:-1])
     msgs = {}
-    for a, b in g.directed_edges:
-        chi = state.bond_dim(a, b)
-        if init == "identity":
-            m = np.eye(chi, dtype=complex) / chi
-        else:
-            gmat = rng.standard_normal((chi, chi)) + 1j * rng.standard_normal((chi, chi))
-            m = gmat.conj().T @ gmat
-            m = m / np.trace(m).real
-        msgs[(a, b)] = m
-    return msgs
+    for chi in set(chis):
+        idx = [i for i, c in enumerate(chis) if c == chi]
+        gmat = np.array([z[i] for i in idx]).reshape(-1, 2, chi, chi)
+        gmat = gmat[:, 0] + 1j * gmat[:, 1]
+        m = gmat.conj().transpose(0, 2, 1) @ gmat
+        msgs.update(zip(idx, m / np.trace(m, axis1=1, axis2=2).real[:, None, None]))
+    return {e: msgs[i] for i, e in enumerate(edges)}
 
 
 def bp_step(state: TensorNetworkState, msgs: dict, damping: float = 0.0) -> dict:

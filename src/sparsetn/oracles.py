@@ -183,6 +183,34 @@ def ground_space_overlap(state: TensorNetworkState, ed: EdResult) -> float:
     return float(abs(np.vdot(ed.v0, psi)) ** 2 + abs(np.vdot(ed.v1, psi)) ** 2)
 
 
+def _proposals(rng, high, count, rounds):
+    """``rounds`` rounds of ``rng.integers(0, high, size=count)`` then ``rng.random(count)``, from raw words.
+
+    Bit for bit what those calls return, leaving ``rng`` where they leave it: numpy splits a PCG64 word into
+    32-bit halves, low first, holding the high one (``has_uint32``, ``uinteger``), maps a half x to
+    (x high) >> 32 (Lemire's multiply-shift) and a word w to (w >> 11) 2^-53. Returns None, with ``rng``
+    untouched, where numpy would reject a half and draw again, or for ``high`` outside [2, 2^32).
+    """
+    if not 2 <= high < 2**32:
+        return None
+    bg = rng.bit_generator
+    st = bg.state
+    held = st["has_uint32"]
+    used = (np.arange(1, rounds + 1) * count - held + 1) // 2  # integer words drawn by the end of each round
+    sizes = np.column_stack([np.diff(used, prepend=0), [count] * rounds]).ravel()  # per round: integer words, uniforms
+    is_int = np.repeat(np.tile([True, False], rounds), sizes)
+    raw = bg.random_raw(len(is_int))
+    words = raw[is_int]
+    halves = np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel()
+    halves = np.concatenate([np.array([st["uinteger"]][:held], np.uint64), halves])
+    m = halves[: rounds * count] * np.uint64(high)
+    if ((m & 0xFFFFFFFF) < (2**32 - high) % high).any():
+        bg.state = st
+        return None
+    bg.state = {**bg.state, "has_uint32": len(halves) - rounds * count, "uinteger": int(halves[-1])}
+    return (m >> 32).astype(np.int64).reshape(rounds, count), ((raw[~is_int] >> 11) * 2.0**-53).reshape(rounds, count)
+
+
 def classical_ising_mc(
     g: Graph,
     beta: float,
@@ -199,7 +227,10 @@ def classical_ising_mc(
     spins) is kept up to date, so a proposal is one table lookup. The spins of
     each sweep after ``burn_in`` are summed once per batch of ``batches``;
     sums of +-1 terms are exact, so the result is bit for bit that of
-    per-sweep accumulation. Batch means give the standard errors. Two
+    per-sweep accumulation. Each block of about 2^13 proposals is drawn from
+    raw generator words (``_proposals``), bit for bit the per-sweep
+    ``integers`` and ``random`` calls, which a block makes itself where numpy
+    would reject a draw. Batch means give the standard errors. Two
     magnetization estimators are reported:
 
     - plain per-site time averages <s_a>, which estimate the symmetric Gibbs
@@ -241,26 +272,33 @@ def classical_ising_mc(
     held = [1]
     rows = []
 
-    for sweep in range(sweeps):
-        for a, u in zip(rng.integers(0, n, size=n).tolist(), rng.random(size=n).tolist()):
-            s = spins[a]
-            if u < thr[s * field[a]]:
-                spins[a] = -s
-                for k in nbrs[a]:
-                    field[k] -= 2 * s
-        m = sweep - burn_in
-        if m >= 0:
-            rows.append(spins[:])
-            b = m * batches // n_meas
-            if (m + 1) * batches // n_meas == b:
-                continue
-            # batch b is complete; a sweep with M = 0 holds the last nonzero sign of M, starting from +1
-            block, rows = np.array(rows), []
-            held = list(accumulate(np.sign(block.sum(axis=1)).tolist(), lambda h, sign: sign or h, initial=held[-1]))
-            flips += sum(x != y for x, y in zip(held, held[1:]))
-            site_batch[b] = block.sum(axis=0)
-            signed_batch[b] = np.array(held[1:]) @ block
-            edge_batch[b] = (block[:, ea] * block[:, eb]).sum(axis=0)
+    per = max(1, 2**13 // n)  # sweeps per block of about 2^13 proposals
+    for start in range(0, sweeps, per):
+        rounds = min(per, sweeps - start)
+        drawn = _proposals(rng, n, n, rounds)
+        if drawn is None:  # numpy would reject a draw (about one block in 30,000 at n = 40), or n = 1
+            draws = [(rng.integers(0, n, size=n), rng.random(size=n)) for _ in range(rounds)]
+            drawn = [np.array(x) for x in zip(*draws)]
+        for sweep, sites, us in zip(range(start, start + rounds), drawn[0].tolist(), drawn[1].tolist()):
+            for a, u in zip(sites, us):
+                s = spins[a]
+                if u < thr[s * field[a]]:
+                    spins[a] = -s
+                    for k in nbrs[a]:
+                        field[k] -= 2 * s
+            m = sweep - burn_in
+            if m >= 0:
+                rows.append(spins[:])
+                b = m * batches // n_meas
+                if (m + 1) * batches // n_meas == b:
+                    continue
+                # batch b is complete; a sweep with M = 0 holds the last nonzero sign of M, starting from +1
+                block, rows = np.array(rows), []
+                held = list(accumulate(np.sign(block.sum(axis=1)).tolist(), lambda h, sign: sign or h, initial=held[-1]))
+                flips += sum(x != y for x, y in zip(held, held[1:]))
+                site_batch[b] = block.sum(axis=0)
+                signed_batch[b] = np.array(held[1:]) @ block
+                edge_batch[b] = (block[:, ea] * block[:, eb]).sum(axis=0)
 
     def _stats(batch):
         bm = batch / batch_counts[:, None]

@@ -23,6 +23,7 @@ from sparsetn.env import Environment
 from sparsetn.graph import Graph, build_tree, compute_diagnostics, cycle_graph, grid_graph, random_regular
 from sparsetn.oracles import statevector_rdm
 from sparsetn.states import (
+    TensorNetworkState,
     graph_state,
     product_state,
     random_state,
@@ -58,6 +59,33 @@ class TestInitMessages:
             w = np.linalg.eigvalsh(m1[key])
             assert w.min() >= -1e-12
             assert abs(np.trace(m1[key]).real - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_one_draw_matches_a_draw_per_edge(self, seed):
+        g = random_regular(10, 3, seed=seed)
+        rng = np.random.default_rng(seed)
+        chis = {e: k % 3 + 1 for k, e in enumerate(g.edges)}
+        tensors = []
+        for v in range(g.n):
+            shape = (2,) + tuple(chis[(min(v, u), max(v, u))] for u in g.neighbors(v))
+            tensors.append(rng.standard_normal(shape))
+        s = TensorNetworkState(g, tensors, 2)
+        assert set(s.bond_dims.values()) == {1, 2, 3}
+
+        rng = np.random.default_rng(seed + 1)
+        expected = {}
+        for a, b in g.directed_edges:
+            chi = s.bond_dim(a, b)
+            gmat = rng.standard_normal((chi, chi)) + 1j * rng.standard_normal((chi, chi))
+            m = gmat.conj().T @ gmat
+            expected[(a, b)] = m / np.trace(m).real
+        identity = {e: np.eye(len(m)) / len(m) for e, m in expected.items()}
+        for init, want in (("random", expected), ("identity", identity)):
+            got = init_messages(s, init, seed=seed + 1)
+            assert list(got) == list(g.directed_edges)
+            for key, m in want.items():
+                assert got[key].dtype == np.complex128
+                np.testing.assert_array_equal(got[key], m, err_msg=f"{init} {key}")
 
     @pytest.mark.parametrize("g", [Graph(3, []), random_regular(6, 3, seed=0)], ids=["edgeless", "3-regular"])
     def test_rejects_unknown_init(self, g):
