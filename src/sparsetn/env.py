@@ -20,11 +20,11 @@ arrays indexed by directed edge. A group's ket layers are leg-stacked rows: r
 copies of the stack, copy l with leg l moved first, dressed together by at
 most r - 1 contiguous matmuls, one per leg or per pair of legs. Gates, blocks,
 environments and gradients are reshaped batched matmuls, so a group costs a
-fixed number of numpy calls whatever r is. Those whose right-hand matrices have
-at most 16 entries, and the paired absorptions (on a 3-regular graph at chi = 2
-and d = 2, every one), run as real matmuls, which numpy does several times
-faster than complex ones at these sizes; the rule reads only each matrix's
-shape, so a stacked copy keeps its lone bits.
+fixed number of numpy calls whatever r is. Every product of the layer goes
+through ``_mm``: one whose right-hand matrices have at most 16 entries (on a
+3-regular graph at chi = 2 and d = 2, every one) runs as a real matmul, which
+numpy does several times faster than a complex one at these sizes; the rule
+reads only each matrix's shape, so a stacked copy keeps its lone bits.
 Each stack and its rows are built once, on first use. Runs on one graph can share an environment as copies,
 as offsets within the lone graph's layout: copy p's vertex ids are shifted by p * n and its directed-edge ids by
 p * 2m. Each copy's values are exactly those of a lone run, energies are summed per copy, and errors name the copy
@@ -95,17 +95,17 @@ def _dress(t, msgs, axis):
 
     Each step rotates the next legs last and absorbs them by one contiguous matmul: two legs of widths a and b
     through the Kronecker product of their messages, ``(B, rest, ab) @ (B, ab, ab)``, exactly when that costs no more
-    multiply-adds than one at a time (ab <= a + b: both are 2, or one is 1), else one leg, ``(B, rest, a) @ (B, a, a)``.
+    multiply-adds than one at a time (ab <= a + b: both are 2, or one is 1), else one leg, ``(B, rest, a) @ (B, a, a)``;
+    either product goes through ``_mm``.
     """
     n, shape, lead, j = len(t), t.shape, math.prod(t.shape[1:axis]), 0
     while j < len(msgs):
         m = msgs[j]
-        paired = j + 1 < len(msgs) and m.shape[1] * msgs[j + 1].shape[1] <= m.shape[1] + msgs[j + 1].shape[1]
-        if paired:
+        if j + 1 < len(msgs) and m.shape[1] * msgs[j + 1].shape[1] <= m.shape[1] + msgs[j + 1].shape[1]:
             b, j = msgs[j + 1], j + 1
             m = (m[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(m), m.shape[1] * b.shape[1], -1)
         t, j = t.reshape(n, lead, m.shape[1], -1).swapaxes(2, 3).reshape(n, -1, m.shape[1]), j + 1
-        t = _mm(t, m) if paired else t @ m
+        t = _mm(t, m)
     return t.reshape(shape)
 
 

@@ -103,16 +103,10 @@ def _flip_diagonals(terms, n):
 
 
 def _apply(h, x):
-    """H applied to each row of ``x``: (H v)[i] = sum_p d[p, i] v[i ^ fs[p]] for ``h = (fs, d)``."""
-    out = np.zeros(x.shape, dtype=np.result_type(x, h[1]))
+    """H times each row of ``x``, one gather per flip pattern: (H v)[i] = sum_p d[p, i] v[i ^ fs[p]] for h = (fs, d)."""
+    out, index = np.zeros(x.shape, dtype=np.result_type(x, h[1])), np.arange(x.shape[-1])
     for f, d in zip(*h):
-        if f & (f - 1):  # several bits: one gather
-            out += d * np.take(x, np.arange(len(d)) ^ f, axis=-1)
-        elif f:  # one bit: a reversed axis of a reshaped view
-            shape = (len(x), -1, 2, f)
-            out.reshape(shape)[...] += d.reshape(shape[1:]) * x.reshape(shape)[:, :, ::-1]
-        else:
-            out += d * x
+        out += d * np.take(x, index ^ f, axis=-1)
     return out
 
 

@@ -84,6 +84,8 @@ def generalized_graph_state(g: Graph, m, factor=None) -> TensorNetworkState:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("edge matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("edge matrix must be finite")
     if not np.allclose(m, m.T, rtol=1e-12, atol=1e-12):
         raise ValueError("edge matrix must be symmetric")
     d = m.shape[0]

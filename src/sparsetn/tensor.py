@@ -30,10 +30,13 @@ def symmetric_factor(m):
     square roots, which handles indefinite matrices. Genuinely complex
     symmetric input, defective or not, takes its Takagi factorization
     ``m = u diag(s) u.T`` with ``u`` unitary and ``s >= 0``, and ``a = u diag(sqrt(s))``.
+    Input that is not square, finite and symmetric raises ``ValueError``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("symmetric_factor expects a square matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
     if not np.allclose(m, m.T, rtol=1e-12, atol=1e-12):
         raise ValueError("matrix is not symmetric within 1e-12")
     if np.max(np.abs(m.imag)) <= 1e-12:

@@ -160,13 +160,14 @@ def test_dress_matches_one_einsum_per_leg(widths, legs):
 
 @pytest.mark.parametrize("width", [3, 4])
 def test_dress_absorbs_wide_legs_one_at_a_time(width):
-    """At widths of 3 and more no pair is cheaper, so the result is bit for bit that of one matmul per leg."""
+    """At widths of 3 and more no pair is cheaper, so the result is bit for bit that of one ``_mm`` per leg."""
     for legs in range(6):
         for stack in (1, 5):
             t, msgs = dress_inputs((width,), legs, stack, (2, 3))
             expect = t
             for m in msgs:
-                expect = expect.reshape(stack, 6, width, -1).swapaxes(2, 3).reshape(stack, -1, width) @ m
+                rows = expect.reshape(stack, 6, width, -1).swapaxes(2, 3).reshape(stack, -1, width)
+                expect = sparsetn.env._mm(rows, m)
             assert np.array_equal(sparsetn.env._dress(t, msgs, 3), expect.reshape(t.shape))
 
 

@@ -104,6 +104,7 @@ class TestRandomRegular:
         g = random_regular(10, 3, seed=0)
         assert len(g.edges) == 15
         assert all(g.degree(v) == 3 for v in range(10))
+        assert repr(g) == "Graph(n=10, m=15)"
 
     def test_k4_is_unique_cubic_graph_on_4(self):
         g = random_regular(4, 3, seed=123)
@@ -288,10 +289,15 @@ class TestSerialization:
     (lambda: cycle_graph(2), "cycle needs n >= 3"),
     (lambda: grid_graph(0, 3), "rows and cols must be >= 1"),
     (lambda: expansion_bruteforce(Graph(1, [])), "expansion needs at least two vertices"),
+    # seeds 0-8 all reject 1000 pairings in a row
+    (lambda: random_regular(8, 5, seed=0),
+     (RuntimeError, "random regular generation failed after 1000 attempts (n=8, r=5)")),
 ], ids=["no-vertex", "edge-range", "regular-n", "regular-r", "tree-n", "tree-branching", "cycle", "grid",
-        "expansion"])
+        "expansion", "regular-give-up"])
 def test_input_checks_name_the_problem(build, error):
-    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+    """Each case raises ``ValueError`` with its message, or the (exception, message) pair it gives."""
+    kind, error = error if isinstance(error, tuple) else (ValueError, error)
+    with pytest.raises(kind, match=f"^{re.escape(error)}$"):
         build()
 
 

@@ -255,6 +255,43 @@ def test_residual_guard_rejects_a_wrong_pair(monkeypatch):
         exact_diagonalize(transverse_field_ising(random_regular(8, 3, seed=1), 1.0))
 
 
+def _apply_three_branches(h, x):
+    """H times the rows of ``x`` as ``_apply`` once took it: a gather for several flipped bits, a reversed axis of a
+    reshaped view for one, and the diagonal as a plain product."""
+    out = np.zeros(x.shape, dtype=np.result_type(x, h[1]))
+    for f, d in zip(*h):
+        if f & (f - 1):
+            out += d * np.take(x, np.arange(len(d)) ^ f, axis=-1)
+        elif f:
+            shape = (len(x), -1, 2, f)
+            out.reshape(shape)[...] += d.reshape(shape[1:]) * x.reshape(shape)[:, :, ::-1]
+        else:
+            out += d * x
+    return out
+
+
+APPLY_GRAPHS = {1: Graph(1, []), 2: p2(), 5: cycle_graph(5), 10: random_regular(10, 3, seed=10)}
+APPLY_MODELS = {
+    "real": lambda g: mixed_field_ising(g, -1.0, -2.0, -0.5),
+    "complex-y": lambda g: Hamiltonian(graph=g, edge_terms={e: np.kron(PAULI_Y, PAULI_X) for e in g.edges},
+                                       vertex_terms={a: (0.5 + 0.1 * a) * PAULI_Y + 0.3 * PAULI_Z for a in range(g.n)}),
+    "zero": lambda g: Hamiltonian(graph=g, edge_terms={e: 0 * np.eye(4) for e in g.edges}),
+}
+
+
+@pytest.mark.parametrize("model", list(APPLY_MODELS))
+@pytest.mark.parametrize("n", list(APPLY_GRAPHS))
+def test_apply_is_one_gather_per_flip_pattern(n, model):
+    """One gather per flip pattern gives bit for bit the three-branch product, on real and complex rows."""
+    op = sparsetn.oracles._flip_diagonals(hamiltonian_terms(APPLY_MODELS[model](APPLY_GRAPHS[n])), n)
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((2, 1 << n))
+    for x in (real, real + 1j * rng.standard_normal((2, 1 << n))):
+        got, expect = sparsetn.oracles._apply(op, x), _apply_three_branches(op, x)
+        assert got.dtype == expect.dtype
+        np.testing.assert_array_equal(got, expect)
+
+
 class TestOverlaps:
     def test_fidelity_self_is_one(self):
         g = random_regular(6, 3, seed=3)

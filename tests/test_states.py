@@ -20,7 +20,7 @@ from sparsetn.states import (
     state_to_json,
     to_statevector,
 )
-from sparsetn.tensor import PAULI_X, PAULI_Z
+from sparsetn.tensor import PAULI_X, PAULI_Z, symmetric_factor
 
 
 def p2():
@@ -71,6 +71,7 @@ class TestGeneralizedGraphState:
         state = generalized_graph_state(cycle_graph(4), np.eye(3))
         assert state.phys_dim == 3
         assert all(chi == 3 for chi in state.bond_dims.values())
+        assert repr(state) == "TensorNetworkState(n=4, d=3, chi=[3])"
 
     def test_factor_gauge_freedom(self):
         # two admissible factors of the same edge matrix give the same state
@@ -351,7 +352,12 @@ EDGE = Graph(2, [(0, 1)])
     (lambda: random_state(EDGE, 0, seed=0), "chi must be >= 1"),
     (lambda: to_statevector(TensorNetworkState(EDGE, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 2)),
      "state has zero norm"),
-], ids=["tensor-count", "phys-extent", "bond-extents", "square", "factor", "vector", "chi", "zero-norm"])
+    (lambda: generalized_graph_state(EDGE, [[np.inf, 1.0], [1.0, 1.0]]), "edge matrix must be finite"),
+    (lambda: generalized_graph_state(EDGE, [[1.0, np.nan], [1.0, 1.0]]), "edge matrix must be finite"),
+    (lambda: symmetric_factor([[np.inf, 1.0], [1.0, 1.0]]), "matrix has a non-finite entry"),
+    (lambda: symmetric_factor([[1.0, 1.0], [1.0, complex(1.0, np.nan)]]), "matrix has a non-finite entry"),
+], ids=["tensor-count", "phys-extent", "bond-extents", "square", "factor", "vector", "chi", "zero-norm", "edge-inf",
+        "edge-nan", "symmetric-factor-inf", "symmetric-factor-nan"])
 def test_input_checks_name_the_problem(build, error):
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         build()
