@@ -250,20 +250,25 @@ def count_cycles(g: Graph, max_len: int) -> dict:
 def expansion_bruteforce(g: Graph) -> Fraction:
     """Exact edge expansion h(G): minimum boundary/|S| over nonempty S, |S| <= n/2.
 
-    Scans all 2^n vertex subsets at once as the bit masks ``1 .. 2^n - 1``:
-    vertex v is in mask s iff bit v is set, and edge (a, b) crosses the
-    boundary iff bits a and b differ. Guarded to n <= 20. The minimum is taken
-    over float ratios, which is exact here: two different ratios with
-    denominators <= 10 differ by at least 1/100.
+    Scans all 2^n vertex subsets as the bit masks ``0 .. 2^n - 1`` (vertex v
+    is in mask s iff bit v is set), building each mask's size and boundary
+    from the mask without its top vertex v: v adds one to the size and
+    deg(v) - 2 (its lower neighbours inside) to the boundary, the count read
+    as the size of the mask's lower-neighbour bits. Guarded to n <= 20. The
+    minimum is taken over float ratios, which is exact here: two different
+    ratios with denominators <= 10 differ by at least 1/100.
     """
     n = g.n
     if n > 20:
         raise ValueError("expansion_bruteforce supports n <= 20")
     if n < 2:
         raise ValueError("expansion needs at least two vertices")
-    s = np.arange(1, 1 << n)
-    size = sum(((s >> v) & 1 for v in range(n)), np.zeros_like(s))
-    boundary = sum((((s >> a) ^ (s >> b)) & 1 for a, b in g.edges), np.zeros_like(s))
+    size, boundary = np.zeros(1 << n, dtype=np.int64), np.zeros(1 << n, dtype=np.int64)
+    for v, nbrs in enumerate(g.adjacency):
+        lower = sum(1 << w for w in nbrs if w < v)
+        size[1 << v:2 << v] = size[:1 << v] + 1
+        boundary[1 << v:2 << v] = boundary[:1 << v] + len(nbrs) - 2 * size[np.arange(1 << v) & lower]
+    size, boundary = size[1:], boundary[1:]
     i = np.argmin(np.where(size <= n // 2, boundary / size, np.inf))
     return Fraction(int(boundary[i]), int(size[i]))
 

@@ -30,7 +30,8 @@ def symmetric_factor(m):
     square roots, which handles indefinite matrices. Genuinely complex
     symmetric input, defective or not, takes its Takagi factorization
     ``m = u diag(s) u.T`` with ``u`` unitary and ``s >= 0``, and ``a = u diag(sqrt(s))``.
-    Input that is not square, finite and symmetric raises ``ValueError``.
+    Input that is not square, finite and symmetric, or whose eigenvalues
+    overflow, raises ``ValueError``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -41,12 +42,16 @@ def symmetric_factor(m):
         raise ValueError("matrix is not symmetric within 1e-12")
     if np.max(np.abs(m.imag)) <= 1e-12:
         w, v = np.linalg.eigh(m.real)
+        if not np.isfinite(w).all():
+            raise ValueError("matrix has a non-finite eigenvalue")
         a = v.astype(complex) @ np.diag(np.sqrt(w.astype(complex)))
     else:
         # with m = b + ic, a column x + iy of u solves m conj(u) = s u: (x, y) is an eigenvector of the real
         # symmetric [[b, c], [c, -b]] of eigenvalue s, whose eigenvalues are the pairs +-s
         n = len(m)
         w, v = np.linalg.eigh(np.block([[m.real, m.imag], [m.imag, -m.real]]))
+        if not np.isfinite(w).all():
+            raise ValueError("matrix has a non-finite eigenvalue")
         a = (v[:n, n:] + 1j * v[n:, n:]) * np.sqrt(np.maximum(w[n:], 0.0))
     if not np.allclose(a @ a.T, m, rtol=0, atol=1e-10 * max(1.0, float(np.max(np.abs(m))))):
         raise RuntimeError("symmetric factorization failed (no admissible square root found)")

@@ -232,9 +232,12 @@ def classical_ising_mc(g, beta, j=1.0, sweeps=6000, burn_in=1000, seed=0, batche
     flips = 0
     last_sign = 1.0
 
+    per = max(1, 2**13 // n)  # sweeps per block of draws
     for sweep in range(sweeps):
-        sites = rng.integers(0, n, size=n)
-        us = rng.random(size=n)
+        if sweep % per == 0:
+            rounds = min(per, sweeps - sweep)
+            block = rng.integers(0, n, size=(rounds, n)), rng.random((rounds, n))
+        sites, us = block[0][sweep % per], block[1][sweep % per]
         for a, u in zip(sites, us):
             delta = 2.0 * j * spins[a] * spins[nbrs[a]].sum()
             if delta <= 0.0 or u < np.exp(-beta * delta):

@@ -203,8 +203,8 @@ class TestExpansion:
         assert expansion_bruteforce(star) == oracle
 
     def test_matches_subset_oracle(self):
-        for seed in (0, 4):
-            g = random_regular(10, 3, seed=seed)
+        for n, seed in ((10, 0), (10, 4), (14, 2)):
+            g = random_regular(n, 3, seed=seed)
             assert expansion_bruteforce(g) == expansion_oracle(g)
         rng = np.random.default_rng(11)
         trees = [Graph(n, [(int(rng.integers(v)), v) for v in range(1, n)]) for n in (2, 5, 9, 12)]

@@ -15,7 +15,6 @@ from sparsetn.bp import BpConfig, expectation, rdm, run_bp
 from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian, mixed_field_ising, transverse_field_ising
 from sparsetn.oracles import (
-    _proposals,
     classical_exact_expectations,
     classical_ising_mc,
     exact_diagonalize,
@@ -395,97 +394,15 @@ class TestMonteCarlo:
         (Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)]), 400.0, -1.0, 600, 100, 5, 15),
         (Graph(1, []), 0.8, 1.0, 500, 50, 5, 16),
         (Graph(2, [(0, 1)]), 0.8, 1.0, 5000, 300, 11, 17),
+        (random_regular(600, 3, seed=2), 0.5, 1.0, 40, 5, 4, 9),
+        (random_regular(8194, 3, seed=1), 0.5, 1.0, 3, 1, 2, 18),
     ], ids=["uneven-batches", "no-burn-in", "star-degree-6", "sign-carry-across-batches", "exp-underflow",
-            "one-site", "two-sites"])
+            "one-site", "two-sites", "partial-last-block", "one-sweep-blocks"])
     def test_chain_matches_reference_edge_cases(self, graph, beta, j, sweeps, burn_in, batches, seed):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             new = classical_ising_mc(graph, beta, j, sweeps=sweeps, burn_in=burn_in, seed=seed, batches=batches)
         old = ref.classical_ising_mc(graph, beta, j, sweeps=sweeps, burn_in=burn_in, seed=seed, batches=batches)
-        for name, value in vars(old).items():
-            np.testing.assert_array_equal(getattr(new, name), value, err_msg=name)
-
-
-class TestProposals:
-    """``_proposals`` against the Generator calls it stands for, bit for bit."""
-
-    @staticmethod
-    def generators(seed, buffered):
-        pair = np.random.default_rng(seed), np.random.default_rng(seed)
-        if buffered:  # one 32-bit draw leaves the upper half of a word held for the next
-            for rng in pair:
-                rng.integers(0, 5)
-            assert pair[0].bit_generator.state["has_uint32"] == 1
-        return pair
-
-    @staticmethod
-    def assert_same_state(fast, slow, high):
-        assert fast.bit_generator.state == slow.bit_generator.state
-        assert fast.random() == slow.random()
-        assert fast.integers(0, high) == slow.integers(0, high)
-        np.testing.assert_array_equal(fast.integers(0, 3, size=3), slow.integers(0, 3, size=3))
-
-    def assert_matches(self, fast, slow, high, count, rounds):
-        sites, us = _proposals(fast, high, count, rounds)
-        assert sites.shape == us.shape == (rounds, count)
-        for k in range(rounds):
-            np.testing.assert_array_equal(sites[k], slow.integers(0, high, size=count))
-            np.testing.assert_array_equal(us[k], slow.random(count))
-        assert sites.dtype == np.int64 and us.dtype == np.float64
-        self.assert_same_state(fast, slow, high)
-
-    @pytest.mark.parametrize("buffered", [False, True], ids=["aligned", "buffered"])
-    @pytest.mark.parametrize("rounds", [1, 2, 3, 50])
-    @pytest.mark.parametrize("count", [1, 6, 7, 40])
-    @pytest.mark.parametrize("high", [2, 7, 40, 41, 1000, 2**32 - 1])
-    def test_matches_integers_then_random(self, high, count, rounds, buffered):
-        self.assert_matches(*self.generators(100 * count + rounds, buffered), high, count, rounds)
-
-    @pytest.mark.parametrize("rejected", [True, False], ids=["below", "at"])
-    @pytest.mark.parametrize("high", [7, 41, 2**31 + 1, 2**32 - 1])
-    def test_rejection_threshold_is_numpys(self, high, rejected):
-        # numpy rejects a half x where (x high) mod 2^32 < (2^32 - high) mod high; hold the x that lands just
-        # below or at that threshold as the next half drawn, and draw only that half
-        x = ((2**32 - high) % high - rejected) * pow(high, -1, 2**32) % 2**32
-        fast, slow = self.generators(1, False)
-        for rng in (fast, slow):
-            rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": x}
-        if rejected:
-            assert _proposals(fast, high, 1, 1) is None
-            self.assert_same_state(fast, slow, high)
-        else:
-            self.assert_matches(fast, slow, high, 1, 1)
-
-    @pytest.mark.parametrize("high,seed,count,rounds,buffered", [
-        (2**31 + 1, 3, 7, 3, False),
-        (2**31 + 1, 3, 7, 3, True),
-        (3 * 2**30, 3, 7, 3, False),
-        (3 * 2**30, 3, 7, 3, True),
-        (1000, 1056, 6, 50, False),
-        (1, 3, 7, 3, False),
-        (2**32, 3, 7, 3, True),
-    ], ids=["half-rejected", "half-rejected-buffered", "3x2^30", "3x2^30-buffered", "one-rejected-half",
-            "high-1", "high-2^32"])
-    def test_rejected_draws_leave_the_generator_untouched(self, high, seed, count, rounds, buffered):
-        # numpy rejects about half of all halves at the first two highs, and in "one-rejected-half" a half
-        # 2^29 in the fourth round ((2^29 * 1000) mod 2^32 = 0 < 296); 1 and 2^32 take other numpy paths
-        fast, slow = self.generators(seed, buffered)
-        assert _proposals(fast, high, count, rounds) is None
-        self.assert_same_state(fast, slow, high)
-
-    def test_chain_falls_back_on_a_rejected_draw(self, monkeypatch):
-        calls = []
-
-        def reject_second(rng, high, count, rounds):
-            calls.append(rounds)
-            return None if len(calls) == 2 else _proposals(rng, high, count, rounds)
-
-        g = random_regular(600, 3, seed=2)  # 13 sweeps per block of 2^13 proposals
-        kwargs = dict(sweeps=40, burn_in=5, seed=9, batches=4)
-        monkeypatch.setattr(sparsetn.oracles, "_proposals", reject_second)
-        new = classical_ising_mc(g, 0.5, **kwargs)
-        assert calls == [13, 13, 13, 1]
-        old = ref.classical_ising_mc(g, 0.5, **kwargs)
         for name, value in vars(old).items():
             np.testing.assert_array_equal(getattr(new, name), value, err_msg=name)
 

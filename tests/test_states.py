@@ -356,8 +356,11 @@ EDGE = Graph(2, [(0, 1)])
     (lambda: generalized_graph_state(EDGE, [[1.0, np.nan], [1.0, 1.0]]), "edge matrix must be finite"),
     (lambda: symmetric_factor([[np.inf, 1.0], [1.0, 1.0]]), "matrix has a non-finite entry"),
     (lambda: symmetric_factor([[1.0, 1.0], [1.0, complex(1.0, np.nan)]]), "matrix has a non-finite entry"),
+    (lambda: symmetric_factor([[1e308, 1e308], [1e308, 1e308]]), "matrix has a non-finite eigenvalue"),
+    (lambda: symmetric_factor([[1e308, 1e308j], [1e308j, -1e308]]), "matrix has a non-finite eigenvalue"),
 ], ids=["tensor-count", "phys-extent", "bond-extents", "square", "factor", "vector", "chi", "zero-norm", "edge-inf",
-        "edge-nan", "symmetric-factor-inf", "symmetric-factor-nan"])
+        "edge-nan", "symmetric-factor-inf", "symmetric-factor-nan", "symmetric-factor-overflow",
+        "symmetric-factor-complex-overflow"])
 def test_input_checks_name_the_problem(build, error):
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         build()
