@@ -177,6 +177,15 @@ def ground_space_overlap(state: TensorNetworkState, ed: EdResult) -> float:
     return float(abs(np.vdot(ed.v0, psi)) ** 2 + abs(np.vdot(ed.v1, psi)) ** 2)
 
 
+def _proposals(rng, high, count, rounds):
+    """``rounds`` rounds of ``count`` proposals: sites in [0, high), then the uniforms that accept them.
+
+    Two numpy calls, ``rng.integers(0, high, size=(rounds, count))`` then ``rng.random((rounds, count))``;
+    numpy redraws a rejected half-word itself, so the chain needs no knowledge of the generator's words.
+    """
+    return rng.integers(0, high, size=(rounds, count)), rng.random((rounds, count))
+
+
 def classical_ising_mc(
     g: Graph,
     beta: float,
@@ -195,7 +204,7 @@ def classical_ising_mc(
     sums of +-1 terms are exact, so the result is bit for bit that of
     per-sweep accumulation. The proposals are drawn per block of
     ``per = max(1, 2^13 // n)`` sweeps (the last block may be shorter) by two
-    calls, ``rng.integers(0, n, size=(rounds, n))`` then
+    calls (``_proposals``), ``rng.integers(0, n, size=(rounds, n))`` then
     ``rng.random((rounds, n))``, so ``per`` is part of the definition of the
     chain's random stream. Batch means give the standard errors. Two
     magnetization estimators are reported:
@@ -242,8 +251,8 @@ def classical_ising_mc(
     per = max(1, 2**13 // n)  # sweeps per block of about 2^13 proposals
     for start in range(0, sweeps, per):
         rounds = min(per, sweeps - start)
-        drawn = rng.integers(0, n, size=(rounds, n)).tolist(), rng.random((rounds, n)).tolist()
-        for sweep, sites, us in zip(range(start, start + rounds), *drawn):
+        sites_block, us_block = _proposals(rng, n, n, rounds)
+        for sweep, sites, us in zip(range(start, start + rounds), sites_block.tolist(), us_block.tolist()):
             for a, u in zip(sites, us):
                 s = spins[a]
                 if u < thr[s * field[a]]:

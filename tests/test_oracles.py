@@ -15,6 +15,7 @@ from sparsetn.bp import BpConfig, expectation, rdm, run_bp
 from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian, mixed_field_ising, transverse_field_ising
 from sparsetn.oracles import (
+    _proposals,
     classical_exact_expectations,
     classical_ising_mc,
     exact_diagonalize,
@@ -403,6 +404,101 @@ class TestMonteCarlo:
             warnings.simplefilter("error")
             new = classical_ising_mc(graph, beta, j, sweeps=sweeps, burn_in=burn_in, seed=seed, batches=batches)
         old = ref.classical_ising_mc(graph, beta, j, sweeps=sweeps, burn_in=burn_in, seed=seed, batches=batches)
+        for name, value in vars(old).items():
+            np.testing.assert_array_equal(getattr(new, name), value, err_msg=name)
+
+
+class TestProposals:
+    """``_proposals`` against the Generator calls that define the chain's stream, bit for bit."""
+
+    @staticmethod
+    def generators(seed, buffered):
+        pair = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:  # one 32-bit draw leaves the upper half of a word held for the next
+            for rng in pair:
+                rng.integers(0, 5)
+            assert pair[0].bit_generator.state["has_uint32"] == 1
+        return pair
+
+    @staticmethod
+    def assert_same_state(fast, slow, high):
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert fast.random() == slow.random()
+        assert fast.integers(0, high) == slow.integers(0, high)
+        np.testing.assert_array_equal(fast.integers(0, 3, size=3), slow.integers(0, 3, size=3))
+
+    def assert_matches(self, fast, slow, high, count, rounds):
+        sites, us = _proposals(fast, high, count, rounds)
+        assert sites.shape == us.shape == (rounds, count)
+        np.testing.assert_array_equal(sites, slow.integers(0, high, size=(rounds, count)))
+        np.testing.assert_array_equal(us, slow.random((rounds, count)))
+        assert sites.dtype == np.int64 and us.dtype == np.float64
+        assert ((0 <= sites) & (sites < high)).all() and ((0 <= us) & (us < 1)).all()
+        self.assert_same_state(fast, slow, high)
+        return sites
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["aligned", "buffered"])
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 50])
+    @pytest.mark.parametrize("count", [1, 6, 7, 40])
+    @pytest.mark.parametrize("high", [2, 7, 40, 41, 1000, 2**32 - 1])
+    def test_matches_integers_then_random(self, high, count, rounds, buffered):
+        self.assert_matches(*self.generators(100 * count + rounds, buffered), high, count, rounds)
+
+    @pytest.mark.parametrize("rejected", [True, False], ids=["below", "at"])
+    @pytest.mark.parametrize("high", [7, 41, 2**31 + 1, 2**32 - 1])
+    def test_rejection_threshold_is_numpys(self, high, rejected):
+        # numpy rejects a half x where (x high) mod 2^32 < (2^32 - high) mod high and draws again; hold the x
+        # that lands just below or at that threshold as the next half drawn, and draw one proposal
+        x = ((2**32 - high) % high - rejected) * pow(high, -1, 2**32) % 2**32
+        fast, slow = self.generators(1, False)
+        for rng in (fast, slow):
+            rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": x}
+        held = fast.bit_generator.state
+        sites = self.assert_matches(fast, slow, high, 1, 1)
+        # the site takes the held half where it is accepted, and fresh words where numpy rejects it
+        sites_only = np.random.default_rng()
+        sites_only.bit_generator.state = held
+        sites_only.integers(0, high, size=(1, 1))
+        assert (sites_only.bit_generator.state["state"] != held["state"]) == rejected
+        assert rejected or sites[0, 0] == (x * high) >> 32
+
+    @pytest.mark.parametrize("high,seed,count,rounds,buffered", [
+        (2**31 + 1, 3, 7, 3, False),
+        (2**31 + 1, 3, 7, 3, True),
+        (3 * 2**30, 3, 7, 3, False),
+        (3 * 2**30, 3, 7, 3, True),
+        (1000, 1056, 6, 50, False),
+        (1, 3, 7, 3, False),
+        (2**32, 3, 7, 3, True),
+    ], ids=["half-rejected", "half-rejected-buffered", "3x2^30", "3x2^30-buffered", "one-rejected-half",
+            "high-1", "high-2^32"])
+    def test_rejected_draws_leave_the_generator_untouched(self, high, seed, count, rounds, buffered):
+        # numpy rejects about half of all halves at the first two highs, and in "one-rejected-half" a half
+        # 2^29 in the fourth round ((2^29 * 1000) mod 2^32 = 0 < 296); 1 and 2^32 take other numpy paths. A
+        # rejected half is redrawn inside numpy, so the block touches the generator no further than numpy's
+        # own calls do
+        self.assert_matches(*self.generators(seed, buffered), high, count, rounds)
+
+    def test_chain_falls_back_on_a_rejected_draw(self, monkeypatch):
+        # at n = 4056 numpy rejects a half x where (x n) mod 2^32 < 4000 and draws again; with seed 16 the last of the
+        # four blocks of 2 sweeps holds such a half, seen as a site draw that uses more words than its halves
+        rejected = []
+
+        def spy(rng, high, count, rounds):
+            state = rng.bit_generator.state
+            sites_only, plain = np.random.default_rng(), np.random.default_rng()
+            sites_only.bit_generator.state = plain.bit_generator.state = state
+            sites_only.integers(0, high, size=(rounds, count))
+            plain.bit_generator.random_raw((rounds * count - state["has_uint32"] + 1) // 2)
+            rejected.append(sites_only.bit_generator.state["state"] != plain.bit_generator.state["state"])
+            return _proposals(rng, high, count, rounds)
+
+        g = random_regular(4056, 3, seed=3)  # 2 sweeps per block of about 2^13 proposals
+        kwargs = dict(sweeps=8, burn_in=2, seed=16, batches=3)
+        monkeypatch.setattr(sparsetn.oracles, "_proposals", spy)
+        new = classical_ising_mc(g, 0.5, **kwargs)
+        assert rejected == [False, False, False, True]
+        old = ref.classical_ising_mc(g, 0.5, **kwargs)
         for name, value in vars(old).items():
             np.testing.assert_array_equal(getattr(new, name), value, err_msg=name)
 
