@@ -37,6 +37,7 @@ _INIT_SPECS = {"product": lambda seed, beta, j: variational.ProductInit(),
                "sqrt": lambda seed, beta, j: variational.SqrtInit(beta, j),
                "random": lambda seed, beta, j: variational.RandomInit(seed)}
 _MAX_GRID = 10**6
+_MC_BATCHES = 50  # Monte Carlo batch means, each of at least one measured sweep
 _TRACE_HEADER = ["hx", "restart", "iteration", "energy", "energy_density", "mean_abs_z", "mean_x", "mean_zz",
                  "converged"]
 
@@ -129,6 +130,9 @@ def cmd_graphstate_check(args) -> None:
 
 
 def cmd_sqrt_sweep(args) -> None:
+    if args.mc_burn_in < 0 or args.mc_sweeps - args.mc_burn_in < _MC_BATCHES:
+        raise ValueError(f"--mc-burn-in must be >= 0 and --mc-sweeps must exceed it by at least {_MC_BATCHES} "
+                         f"measured sweeps, got {args.mc_sweeps} and {args.mc_burn_in}")
     g = graph.load_graph(args.graph)
     betas = _grid(args.betas)
     exact = args.exact or (args.exact is None and g.n <= 12)
@@ -148,7 +152,7 @@ def cmd_sqrt_sweep(args) -> None:
         env = diag.env
         obs = bp._site_averages(env)
         mc = oracles.classical_ising_mc(g, beta, args.j, sweeps=args.mc_sweeps,
-                                        burn_in=args.mc_burn_in, seed=args.seed + 1000 + i)
+                                        burn_in=args.mc_burn_in, seed=args.seed + 1000 + i, batches=_MC_BATCHES)
         row = [beta, obs.mean_abs_z, mc.mean_abs_z, mc.mean_abs_z_error, obs.mean_x,
                obs.edge_entropy, mc.mean_signed_z, mc.mean_signed_z_error, mc.sector_flips,
                diag.converged, diag.steps_run]
@@ -208,7 +212,7 @@ def cmd_var_prep(args) -> None:
         summary.update({
             "ed_e0": ed.e0,
             "ed_e1": ed.e1,
-            "relative_energy_error": (trace.energies[-1] - ed.e0) / abs(ed.e0),
+            "relative_energy_error": (trace.energies[-1] - ed.e0) / abs(ed.e0) if ed.e0 else None,
             "fidelity_ground": f0,
             "ground_space_overlap": f0 + float(abs(np.vdot(ed.v1, psi)) ** 2),
         })
@@ -350,19 +354,15 @@ def _apply_config_file(parser, argv):
         values = json.load(fh)
     if not isinstance(values, dict):
         raise ValueError(f"config file {path} does not hold a JSON object")
-    negatable = {a.dest for a in command._actions if isinstance(a, argparse.BooleanOptionalAction)}
+    flags = {a.dest: a.option_strings for a in command._actions}
     extra = []
     for key, val in values.items():
-        flag = "--" + key.replace("_", "-")
-        if not isinstance(val, (int, float, str, bool)):
-            continue
-        if isinstance(val, bool):
-            if val:
-                extra.append(flag)
-            elif key in negatable:  # False must round-trip through --no-<flag>
-                extra.append(f"--no-{key.replace('_', '-')}")
-        else:
-            extra.extend([flag, str(val)])
+        if not flags.get(key):
+            raise ValueError(f"config file {path} has key '{key}', which is no option of {argv[0]}")
+        if isinstance(val, bool):  # the action's own --flag, or --no-flag where it has one
+            extra += [f for f in flags[key] if f.startswith("--no-") != val][:1]
+        elif isinstance(val, (int, float, str)):  # one token, so a value such as -0.5,0.5 is not read as a flag
+            extra.append(f"{flags[key][0]}={val}")
     return argv[:1] + extra + argv[1:]
 
 

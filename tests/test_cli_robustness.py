@@ -53,6 +53,7 @@ ROUND_TRIPS = [
      "--oracle", "--save-state"],
     ["tfim-sweep", "--graph", "{graph}", "--hx-grid", "1.0,3.0", "--restarts", "2", "--t-var", "3",
      "--init-noise", "0.05"],
+    ["sqrt-sweep", "--graph", "{graph}", "--betas=-0.5,0.5", "--mc-sweeps", "200", "--mc-burn-in", "50"],
 ]
 
 
@@ -68,6 +69,20 @@ def test_config_round_trips(tmp_path, small_graph_file, argv):
             assert (d1 / out).read_bytes() == (d2 / out).read_bytes(), out
     cfg1, cfg2 = (json.loads((d / name).read_text()) for d in (d1, d2))
     assert {k for k in cfg1 if cfg1[k] != cfg2[k]} == {"out_dir"}
+
+
+def test_negative_exponent_float_round_trips(tmp_path, small_graph_file):
+    # argparse takes a lone -1e-05 for a flag, so the replay must keep the value in the option's token
+    argv = ["var-prep", "--graph", "{graph}", "--hz=-1e-05", "--t-var", "2"]
+    test_config_round_trips(tmp_path, small_graph_file, argv)
+
+
+def test_config_key_that_is_no_option_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 7, "tree": True, "max_cycle_length": 6}))
+    assert main(["graph-gen", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file") and "'max_cycle_length'" in err
 
 
 def test_config_with_equals_sign_is_read(tmp_path):
@@ -121,6 +136,24 @@ def test_oracle_contracts_the_statevector_once(tmp_path, small_graph_file, monke
     assert len(calls) == 1
     summary = json.loads((tmp_path / "var_prep_summary.json").read_text())
     assert 0.0 <= summary["fidelity_ground"] <= summary["ground_space_overlap"] <= 1.0 + 1e-12
+
+
+def test_oracle_with_zero_ground_energy_has_no_relative_error(tmp_path, small_graph_file):
+    assert main(["var-prep", "--graph", small_graph_file, "--jzz", "0", "--hx", "0", "--hz", "0", "--oracle",
+                 "--t-var", "2", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "var_prep_summary.json").read_text())
+    assert summary["ed_e0"] == 0.0
+    assert summary["relative_energy_error"] is None
+
+
+@pytest.mark.parametrize("sweeps,burn_in", [("20", "5"), ("149", "100"), ("6000", "-1")])
+def test_monte_carlo_flags_rejected_before_the_run(tmp_path, capsys, small_graph_file, sweeps, burn_in):
+    code = main(["sqrt-sweep", "--graph", small_graph_file, "--mc-sweeps", sweeps, "--mc-burn-in", burn_in,
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--mc-sweeps" in err and "--mc-burn-in" in err
+    assert not list(tmp_path.glob("sqrt_sweep*"))
 
 
 def test_memory_error_exits_2(tmp_path, small_graph_file, monkeypatch, capsys):

@@ -107,6 +107,11 @@ class TestTermListMatrix:
             expected = expected + dense
         np.testing.assert_array_equal(term_list_matrix(terms, n).toarray(), expected)
 
+    def test_rejects_a_repeated_site(self):
+        # a two-site operator on one qubit twice has no place on the register
+        with pytest.raises(ValueError, match=r"^operator on sites \(1, 1\) has shape \(4, 4\), not that of 2 qubits"):
+            term_list_matrix([((1, 1), np.eye(4))], 3)
+
 
 class TestEigenpairTail:
     """The 13-cycle TFIM and the 8-vertex graph both go through the Lanczos solver.
