@@ -15,10 +15,11 @@ import numpy as np
 import numpy.random
 
 from .graph import Graph, graph_from_json, graph_to_json
-from .tensor import symmetric_factor, tensor_from_json, tensor_to_json
+from .tensor import tensor_from_json, tensor_to_json
 
 __all__ = [
     "TensorNetworkState",
+    "copy_tensors",
     "generalized_graph_state",
     "square_root_state",
     "graph_state",
@@ -73,13 +74,29 @@ class TensorNetworkState:
         return f"TensorNetworkState(n={self.graph.n}, d={self.phys_dim}, chi={chis})"
 
 
-def generalized_graph_state(g: Graph, m, factor=None) -> TensorNetworkState:
+def copy_tensors(g: Graph, d: int, leg) -> list:
+    """Site tensors ``T_v[s, k_1..k_r] = prod_l leg(v, u_l)[s, k_l]`` over v's neighbors ``u_l``, each leg
+    matrix d x d; a vertex with no neighbor gets the all-ones vector."""
+    tensors = []
+    for v in range(g.n):
+        operands = []
+        for l, u in enumerate(g.neighbors(v)):
+            operands.extend([leg(v, u), [0, 1 + l]])
+        tensors.append(np.einsum(*operands, list(range(g.degree(v) + 1))) if operands else np.ones(d, dtype=complex))
+    return tensors
+
+
+def generalized_graph_state(g: Graph, m) -> TensorNetworkState:
     """State with amplitudes proportional to the product of ``m[s_a, s_b]`` over edges.
 
-    Built locally: each site tensor is the copy tensor on (physical + degree)
-    indices with one factor of the edge matrix's symmetric square root absorbed
-    into every virtual leg, so contracting any edge's shared index reproduces
-    ``m``. The bond dimension equals the physical dimension.
+    Built locally in the copy gauge: each site tensor is the copy tensor on
+    (physical + degree) indices, and on every edge (a, b) with a < b the leg at
+    ``b`` carries ``m`` while the leg at ``a`` carries the identity, so
+    contracting the edge's shared index reproduces ``m``. No factorization of
+    ``m`` is taken, and a real ``m`` gives real tensors. ``m`` is first divided
+    by its largest absolute entry, which changes only the norm and keeps every
+    tensor entry, a product of up to degree entries of ``m``, within [0, 1] in
+    absolute value. The bond dimension equals the physical dimension.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -88,25 +105,12 @@ def generalized_graph_state(g: Graph, m, factor=None) -> TensorNetworkState:
         raise ValueError("edge matrix must be finite")
     if not np.allclose(m, m.T, rtol=1e-12, atol=1e-12):
         raise ValueError("edge matrix must be symmetric")
+    top = np.max(np.abs(m), initial=0.0)
+    if top > 0:
+        m = m / top
     d = m.shape[0]
-    if factor is None:
-        a = symmetric_factor(m)
-    else:
-        a = np.asarray(factor, dtype=complex)
-        if not np.allclose(a @ a.T, m, rtol=0, atol=1e-10 * max(1.0, float(np.max(np.abs(m))))):
-            raise ValueError("factor does not satisfy factor @ factor.T == m")
-    tensors = []
-    for v in range(g.n):
-        r = g.degree(v)
-        if r == 0:
-            tensors.append(np.ones(d, dtype=complex))
-            continue
-        # T[s, k_1..k_r] = prod_l a[s, k_l]
-        operands = []
-        for l in range(r):
-            operands.extend([a, [0, 1 + l]])
-        tensors.append(np.einsum(*operands, list(range(r + 1))))
-    return TensorNetworkState(g, tensors, d)
+    eye = np.eye(d, dtype=complex)
+    return TensorNetworkState(g, copy_tensors(g, d, lambda v, u: m if u < v else eye), d)
 
 
 def square_root_state(g: Graph, beta: float, j: float = 1.0) -> TensorNetworkState:
@@ -114,10 +118,12 @@ def square_root_state(g: Graph, beta: float, j: float = 1.0) -> TensorNetworkSta
 
     Amplitudes are exp((beta*j/2) * sum_edges s_a s_b) over spin configurations
     s = +/-1, with basis index 0 mapped to s = +1 so that Z expectation values
-    equal classical magnetizations.
+    equal classical magnetizations. Each edge weight is divided by
+    exp(|beta*j|/2), which changes only the norm: the edge matrix's largest
+    entry is 1 at any beta, so no beta overflows.
     """
     k = 0.5 * beta * j
-    m = np.array([[np.exp(k), np.exp(-k)], [np.exp(-k), np.exp(k)]], dtype=complex)
+    m = np.exp(np.array([[k, -k], [-k, k]]) - abs(k))
     return generalized_graph_state(g, m)
 
 

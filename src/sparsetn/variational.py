@@ -29,7 +29,7 @@ from .bp import BpConfig, _pauli_means, init_messages, run_bp
 from .env import Environment, stacked
 from .graph import Graph
 from .hamiltonian import Hamiltonian, transverse_field_ising
-from .states import TensorNetworkState, product_state, random_state, square_root_state
+from .states import TensorNetworkState, copy_tensors, product_state, random_state
 
 __all__ = [
     "ProductInit",
@@ -69,8 +69,18 @@ class SqrtInit:
     j: float = 1.0
 
     def state(self, g: Graph, chi: int, phys_dim: int) -> TensorNetworkState:
-        """Ising square-root state at ``beta`` and ``j``, of bond dimension 2; ``chi`` and ``phys_dim`` are unused."""
-        return square_root_state(g, self.beta, self.j)
+        """Ising square-root state at ``beta`` and ``j``, of bond dimension 2; ``chi`` and ``phys_dim`` are unused.
+
+        Every leg carries the symmetric root r of the edge matrix m = exp(k s_a s_b), k = beta j / 2, so each
+        bond splits m evenly (r r = m). The descent depends on its start's bond gauge and scale: from
+        ``square_root_state``'s copy gauge (m on one leg, the identity on the other) it ends about ten times
+        further from the ground state.
+        """
+        k = 0.5 * self.beta * self.j
+        # m has eigenvalues exp(k) +- exp(-k) on (1, +-1) / sqrt(2); r takes their principal roots
+        plus, minus = np.sqrt(np.exp(k) + np.array([1, -1], dtype=complex) * np.exp(-k))
+        r = 0.5 * np.array([[plus + minus, plus - minus], [plus - minus, plus + minus]])
+        return TensorNetworkState(g, copy_tensors(g, 2, lambda v, u: r), 2)
 
 
 @dataclass(frozen=True)

@@ -343,6 +343,22 @@ class TestObservables:
             site_averaged_observables(s, init_messages(s, "identity"))
 
 
+@pytest.mark.parametrize("beta", [20.0, 30.0, 300.0, 3000.0])
+def test_square_root_state_converges_from_random_messages_at_large_beta(beta):
+    # sqrt-sweep's BP settings; exp(beta / 2) overflows at beta 3000
+    s = square_root_state(random_regular(40, 3, seed=3), beta, 1.0)
+    msgs, diag = run_bp(s, BpConfig(max_steps=300, rdm_tolerance=1e-9, init="random", init_seed=0))
+    assert diag.converged
+    assert site_averaged_observables(s, msgs).mean_abs_z == pytest.approx(1.0, abs=1e-9)
+
+
+def test_antiferromagnetic_square_root_state_at_beta_3000_has_unit_edge_matrix():
+    s = square_root_state(random_regular(40, 3, seed=3), 3000.0, -1.0)
+    assert all(np.isfinite(t).all() for t in s.site_tensors)
+    t0, t1 = square_root_state(Graph(2, [(0, 1)]), 3000.0, -1.0).site_tensors
+    np.testing.assert_array_equal(np.einsum("ak,bk->ab", t0, t1), [[0.0, 1.0], [1.0, 0.0]])
+
+
 class TestSerialization:
     def test_messages_round_trip(self):
         g = random_regular(6, 3, seed=6)

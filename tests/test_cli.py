@@ -208,6 +208,16 @@ class TestVarPrep:
         assert summary["ground_space_overlap"] > 0.9
         assert (tmp_path / "var_prep_state.json").exists()
 
+    def test_sqrt_init_reaches_the_ground_state(self, tmp_path):
+        # from square_root_state's copy gauge the error was 4.3e-3 and the fidelity 0.76
+        gpath = tmp_path / "g12.json"
+        save_graph(random_regular(12, 3, seed=1), gpath)
+        assert main(["var-prep", "--graph", str(gpath), "--init", "sqrt", "--oracle", "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "var_prep_summary.json").read_text())
+        assert abs(summary["relative_energy_error"]) < 1e-3
+        assert summary["fidelity_ground"] > 0.99
+
 
     @pytest.mark.parametrize("init,flags,spec", [
         ("sqrt", ["--init-beta", "0.3"], variational.SqrtInit(beta=0.3)),

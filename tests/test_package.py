@@ -75,7 +75,7 @@ def test_cli_import_loads_no_scipy(name):
 
 
 def test_complex_generalized_graph_state_loads_no_scipy():
-    """The complex branch of ``tensor.symmetric_factor`` takes its Takagi factorization with numpy."""
+    """A complex edge matrix builds its state with numpy alone."""
     src = os.path.dirname(os.path.dirname(sparsetn.__file__))
     code = ("import sys; from sparsetn.graph import cycle_graph; from sparsetn.states import generalized_graph_state; "
             "generalized_graph_state(cycle_graph(5), [[1 + 0.3j, 0.5], [0.5, 1 - 0.2j]]); "

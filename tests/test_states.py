@@ -20,7 +20,7 @@ from sparsetn.states import (
     state_to_json,
     to_statevector,
 )
-from sparsetn.tensor import PAULI_X, PAULI_Z, symmetric_factor
+from sparsetn.tensor import PAULI_X, PAULI_Z
 
 
 def p2():
@@ -73,19 +73,6 @@ class TestGeneralizedGraphState:
         assert all(chi == 3 for chi in state.bond_dims.values())
         assert repr(state) == "TensorNetworkState(n=4, d=3, chi=[3])"
 
-    def test_factor_gauge_freedom(self):
-        # two admissible factors of the same edge matrix give the same state
-        g = random_regular(8, 3, seed=6)
-        m = np.array([[np.exp(0.2), np.exp(-0.2)], [np.exp(-0.2), np.exp(0.2)]])
-        from sparsetn.tensor import symmetric_factor
-
-        a = symmetric_factor(m)
-        theta = 0.7
-        o = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        v1 = to_statevector(generalized_graph_state(g, m, factor=a))
-        v2 = to_statevector(generalized_graph_state(g, m, factor=a @ o))
-        match_up_to_phase(v1, v2)
-
     @pytest.mark.parametrize("d", [2, 3])
     def test_isolated_vertex_is_uniform(self, d):
         g = Graph(4, [(0, 1), (1, 2)])  # vertex 3 has no edge
@@ -100,10 +87,44 @@ class TestGeneralizedGraphState:
             generalized_graph_state(p2(), np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_nilpotent_edge_matrix_gives_the_state_of_a_hand_factor():
-    m = np.array([[1.0, 1.0j], [1.0j, -1.0]])
-    v = to_statevector(generalized_graph_state(cycle_graph(3), m))
-    match_up_to_phase(v, to_statevector(generalized_graph_state(cycle_graph(3), m, factor=[[1, 0], [1j, 0]])))
+def random_complex_symmetric(d, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return c + c.T
+
+
+ORACLE_EDGE_MATRICES = {
+    "cz": np.array([[1.0, 1.0], [1.0, -1.0]]),
+    # nilpotent (m @ m = 0): equal to v v^T for v = (1, i), and no matrix square root
+    "nilpotent": np.array([[1.0, 1.0j], [1.0j, -1.0]]),
+    "random-complex": random_complex_symmetric(2, seed=7),
+    "real-3x3": np.array([[0.5, -1.2, 0.7], [-1.2, 0.1, 2.0], [0.7, 2.0, -0.9]]),
+    "ising": np.exp(0.4 * np.array([[1.0, -1.0], [-1.0, 1.0]])),
+}
+ORACLE_GRAPHS = {
+    "regular-n10": lambda: random_regular(10, 3, seed=4),
+    # degrees 3, 2, 2, 2, 2, 1 and the isolated vertex 6
+    "mixed-degree": lambda: Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)]),
+    "cycle-5": lambda: cycle_graph(5),
+}
+
+
+@pytest.mark.parametrize("graph", ORACLE_GRAPHS)
+@pytest.mark.parametrize("matrix", ORACLE_EDGE_MATRICES)
+def test_generalized_graph_state_matches_amplitude_product(matrix, graph):
+    m, g = ORACLE_EDGE_MATRICES[matrix], ORACLE_GRAPHS[graph]()
+    state = generalized_graph_state(g, m)
+    match_up_to_phase(to_statevector(state), amplitude_product(g, m), atol=1e-12)
+    if np.isrealobj(m):
+        assert all(not np.any(t.imag) for t in state.site_tensors)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_edge_matrix_scale_changes_only_the_norm(scale):
+    # at degree 4 the unscaled tensors would hold the fourth power of the scale, beyond the float range
+    g = random_regular(10, 4, seed=1)
+    m = ORACLE_EDGE_MATRICES["random-complex"]
+    match_up_to_phase(to_statevector(generalized_graph_state(g, scale * m)), amplitude_product(g, m), atol=1e-12)
 
 
 class TestSquareRootState:
@@ -346,21 +367,14 @@ EDGE = Graph(2, [(0, 1)])
     (lambda: TensorNetworkState(EDGE, [np.ones((2, 2)), np.ones((2, 3))], 2),
      "edge (0, 1): bond extents differ (2 vs 3)"),
     (lambda: generalized_graph_state(EDGE, np.ones((2, 3))), "edge matrix must be square"),
-    (lambda: generalized_graph_state(EDGE, np.eye(2), factor=2 * np.eye(2)),
-     "factor does not satisfy factor @ factor.T == m"),
     (lambda: product_state(EDGE, np.ones((2, 2))), "local state must be a vector"),
     (lambda: random_state(EDGE, 0, seed=0), "chi must be >= 1"),
     (lambda: to_statevector(TensorNetworkState(EDGE, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 2)),
      "state has zero norm"),
     (lambda: generalized_graph_state(EDGE, [[np.inf, 1.0], [1.0, 1.0]]), "edge matrix must be finite"),
     (lambda: generalized_graph_state(EDGE, [[1.0, np.nan], [1.0, 1.0]]), "edge matrix must be finite"),
-    (lambda: symmetric_factor([[np.inf, 1.0], [1.0, 1.0]]), "matrix has a non-finite entry"),
-    (lambda: symmetric_factor([[1.0, 1.0], [1.0, complex(1.0, np.nan)]]), "matrix has a non-finite entry"),
-    (lambda: symmetric_factor([[1e308, 1e308], [1e308, 1e308]]), "matrix has a non-finite eigenvalue"),
-    (lambda: symmetric_factor([[1e308, 1e308j], [1e308j, -1e308]]), "matrix has a non-finite eigenvalue"),
-], ids=["tensor-count", "phys-extent", "bond-extents", "square", "factor", "vector", "chi", "zero-norm", "edge-inf",
-        "edge-nan", "symmetric-factor-inf", "symmetric-factor-nan", "symmetric-factor-overflow",
-        "symmetric-factor-complex-overflow"])
+], ids=["tensor-count", "phys-extent", "bond-extents", "square", "vector", "chi", "zero-norm", "edge-inf",
+        "edge-nan"])
 def test_input_checks_name_the_problem(build, error):
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         build()

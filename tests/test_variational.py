@@ -10,7 +10,7 @@ from sparsetn.graph import Graph, build_tree, cycle_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian, mixed_field_ising, transverse_field_ising
 from reference_kernels import hamiltonian_matrix
 from sparsetn.oracles import exact_diagonalize
-from sparsetn.states import product_state, random_state, to_statevector
+from sparsetn.states import product_state, random_state, square_root_state, to_statevector
 from sparsetn.variational import (
     ProductInit,
     RandomInit,
@@ -235,6 +235,19 @@ class TestVariationalPrepare:
         for init in (SqrtInit(beta=0.2), RandomInit(seed=5)):
             trace = variational_prepare(g, h, VarConfig(t_var=2, chi=2, init=init, noise_seed=1))
             assert len(trace.energies) == 2
+
+    @pytest.mark.parametrize("beta,j", [(0.0, 1.0), (0.2, 1.0), (0.7, -1.5)])
+    def test_sqrt_init_is_the_square_root_state_with_the_root_on_every_leg(self, beta, j):
+        g = random_regular(10, 3, seed=2)
+        state = SqrtInit(beta, j).state(g, 2, 2)
+        overlap = np.vdot(to_statevector(state), to_statevector(square_root_state(g, beta, j)))
+        assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+        t0, t1 = SqrtInit(beta, j).state(Graph(2, [(0, 1)]), 2, 2).site_tensors
+        np.testing.assert_allclose(t0, t1, atol=0)
+        k = 0.5 * beta * j
+        np.testing.assert_allclose(t0 @ t1.T, [[np.exp(k), np.exp(-k)], [np.exp(-k), np.exp(k)]], rtol=1e-12)
+        if j > 0:
+            assert all(not np.any(t.imag) for t in state.site_tensors)
 
     def test_init_errors_are_named(self):
         g = cycle_graph(4)
