@@ -78,6 +78,8 @@ class BpConfig:
 
 @dataclass
 class BpDiagnostics:
+    """``run_bp``'s record: ``rdm_deltas`` are exact unless the run passed ``exact_deltas=False``."""
+
     steps_run: int
     converged: bool
     rdm_deltas: list = field(default_factory=list)
@@ -174,7 +176,7 @@ def rdm(state: TensorNetworkState, msgs: dict, sites) -> Rdm:
     return Rdm(sites=sites, matrix=unit_trace(mat[None], [(sites,)], RDM_ERROR)[0])
 
 
-def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0):
+def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0, *, screen: float | None = None):
     """Synchronous steps from ``msgs``, without end.
 
     Yields ``(env, rdm_delta, message_delta)`` after every step: the
@@ -184,6 +186,8 @@ def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0):
     once and give both its edge RDMs and the next messages. A message or edge
     RDM that loses positivity in step k raises ``RuntimeError("BP step k: ...")``;
     so does one of the edge RDMs of ``msgs`` themselves, under step 1.
+    ``rdm_delta`` is exact unless ``screen`` is given; then a step whose lower
+    bound (see ``_trace_distance``) exceeds ``screen`` yields that bound.
     """
     edges, env, prev = state.graph.edges, Environment(state, msgs), None
     for k in count(1):
@@ -195,24 +199,27 @@ def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0):
         except RuntimeError as err:
             raise RuntimeError(f"BP step {k}: {err}") from err
         msg_delta = float(np.linalg.norm(new.msg_stack - env.msg_stack, axis=(1, 2)).max(initial=0.0))
-        rdm_delta = _trace_distance(prev, cur) if edges else 0.0
+        rdm_delta = _trace_distance(prev, cur, screen) if edges else 0.0
         env, prev = new, cur
         yield env, rdm_delta, msg_delta
 
 
-def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: dict | None = None):
+def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: dict | None = None, *, exact_deltas=True):
     """Iterate synchronous BP until two-site RDMs are stationary in trace distance.
 
     Returns ``(messages, diagnostics)``; ``diagnostics.env`` is the
     ``Environment`` of those messages, so callers take their observables and
     energies from its gates instead of rebuilding them. Non-convergence within
-    ``max_steps`` is reported through the diagnostics, not raised.
+    ``max_steps`` is reported through the diagnostics, not raised. With
+    ``exact_deltas=False`` (no reader of ``rdm_deltas``) BP screens at
+    ``rdm_tolerance``: it skips most eigensolves and stops where it would.
     """
     cfg = cfg or BpConfig()
     if msgs is None:
         msgs = init_messages(state, cfg.init, cfg.init_seed)
     diag = BpDiagnostics(steps_run=0, converged=False)
-    for env, rdm_delta, msg_delta in islice(bp_iterate(state, msgs, cfg.damping), cfg.max_steps):
+    screen = None if exact_deltas else cfg.rdm_tolerance
+    for env, rdm_delta, msg_delta in islice(bp_iterate(state, msgs, cfg.damping, screen=screen), cfg.max_steps):
         diag.steps_run += 1
         diag.rdm_deltas.append(rdm_delta)
         diag.message_deltas.append(msg_delta)
@@ -223,10 +230,19 @@ def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: dict | 
     return env.msgs, diag
 
 
-def _trace_distance(m1, m2) -> float:
-    """Half the trace norm of ``m1 - m2``; for stacks of matrices, the largest one."""
-    w = np.linalg.eigvalsh(np.subtract(m1, m2))
-    return 0.5 * float(np.abs(w).sum(axis=-1).max())
+def _trace_distance(m1, m2, screen: float | None = None) -> float:
+    """Half the trace norm of ``m1 - m2``; for stacks of matrices, the largest one.
+
+    Half the largest Frobenius norm is a lower bound, with sqrt(2) to spare
+    against rounding when ``m1 - m2`` is traceless; it is returned, without an
+    eigensolve, when it exceeds ``screen``.
+    """
+    diff = np.subtract(m1, m2)
+    if screen is not None:
+        bound = 0.5 * float(np.linalg.norm(diff, axis=(-2, -1)).max())
+        if bound > screen:
+            return bound
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1).max())
 
 
 def expectation(rho: Rdm, op) -> float:

@@ -148,7 +148,7 @@ def cmd_sqrt_sweep(args) -> None:
         state = states.square_root_state(g, beta, args.j)
         cfg = bp.BpConfig(max_steps=args.max_steps, rdm_tolerance=args.tol,
                           damping=args.damping, init=args.init, init_seed=args.seed + i)
-        _, diag = bp.run_bp(state, cfg)
+        _, diag = bp.run_bp(state, cfg, exact_deltas=False)
         env = diag.env
         obs = bp._site_averages(env)
         mc = oracles.classical_ising_mc(g, beta, args.j, sweeps=args.mc_sweeps,

@@ -251,7 +251,7 @@ def _sweep_points(g: Graph, cfg: VarConfig, base_seed: int, jobs) -> list:
     points = []
     for (hx, _, restart), seed, h, name, trace in zip(jobs, seeds, hs, names, traces):
         try:
-            _, diag = run_bp(trace.final_state, BpConfig(), msgs=trace.final_messages)
+            _, diag = run_bp(trace.final_state, BpConfig(), msgs=trace.final_messages, exact_deltas=False)
             env = diag.env
             mean_abs_z, mean_x, mean_zz = _pauli_means(env.site_rdms(), env.edge_rdms())
             e_val = env.energy(env.lay.terms(h))[0][0]

@@ -1,13 +1,17 @@
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsetn.bp import (
     BpConfig,
     Rdm,
     _site_averages,
+    _trace_distance,
     bp_diagnostics_to_csv,
+    bp_iterate,
     bp_step,
     entanglement_entropy,
     expectation,
@@ -341,6 +345,71 @@ class TestObservables:
         s = random_state(cycle_graph(6), 2, 0, phys_dim=3)
         with pytest.raises(ValueError, match="requires qubits"):
             site_averaged_observables(s, init_messages(s, "identity"))
+
+
+def exact_stop(state, cfg):
+    """``run_bp``'s stop rule on exact deltas: (converged, steps, final message stack, per-step deltas)."""
+    deltas = []
+    for env, delta, _ in islice(bp_iterate(state, init_messages(state, cfg.init, cfg.init_seed), cfg.damping),
+                                cfg.max_steps):
+        deltas.append(delta)
+        if delta <= cfg.rdm_tolerance:
+            return True, len(deltas), env.msg_stack, deltas
+    return False, len(deltas), env.msg_stack, deltas
+
+
+SCREENED = [
+    *[pytest.param(square_root_state(random_regular(16, 3, seed=2), beta), init, damping,
+                   id=f"sqrt-{beta}-{init}-{damping}")
+      for beta in (0.2, 0.5, 0.6, 1.0) for init in ("identity", "random") for damping in (0.0, 0.3)],
+    pytest.param(random_state(cycle_graph(6), 2, 0, phys_dim=3), "random", 0.0, id="qutrit-cycle"),
+    pytest.param(random_state(grid_graph(3, 4), 2, seed=6), "random", 0.3, id="grid-degrees-2-3-4"),
+    pytest.param(random_state(Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)]), 2, seed=1),
+                 "identity", 0.0, id="degrees-0-to-3"),
+    pytest.param(random_state(Graph(3, []), 2, seed=0), "identity", 0.0, id="edgeless"),
+]
+
+
+@pytest.mark.parametrize("state,init,damping", SCREENED)
+def test_screened_stop_rule_decides_like_the_exact_one(state, init, damping):
+    cfg = BpConfig(max_steps=120, rdm_tolerance=1e-9, damping=damping, init=init, init_seed=4)
+    _, diag = run_bp(state, cfg, exact_deltas=False)
+    converged, steps, stack, exact = exact_stop(state, cfg)
+    assert (diag.converged, diag.steps_run) == (converged, steps)
+    assert diag.env.msg_stack.shape == stack.shape and diag.env.msg_stack.tobytes() == stack.tobytes()
+    # a screened step yields a lower bound that already exceeds the tolerance
+    for screened, t in zip(diag.rdm_deltas, exact, strict=True):
+        assert screened == t or cfg.rdm_tolerance < screened <= t
+
+
+def test_screened_run_skips_all_but_a_few_eigensolves(monkeypatch):
+    state = square_root_state(random_regular(40, 3, seed=0), 0.6)
+    cfg = BpConfig(max_steps=300, rdm_tolerance=1e-9, init="random")
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    _, diag = run_bp(state, cfg, exact_deltas=False)
+    assert diag.converged and diag.steps_run > 100
+    assert len(calls) <= 5
+    calls.clear()
+    _, diag = run_bp(state, cfg)
+    assert len(calls) == diag.steps_run
+
+
+@given(st.sampled_from([2, 3]), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_frobenius_norm_bounds_the_trace_distance(d, rank1, rank2, seed):
+    """F/2 <= T <= (d/2) F for the difference of two d^2 x d^2 density matrices, with sqrt(2) to spare below."""
+    rng = np.random.default_rng(seed)
+    rhos = []
+    for rank in (rank1, rank2):
+        shape = (d * d, min(rank, d * d))
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rhos.append(g @ g.conj().T / np.linalg.norm(g) ** 2)
+    t, f = _trace_distance(*rhos), float(np.linalg.norm(rhos[0] - rhos[1]))
+    assert 0.5 * f * np.sqrt(2) <= t * (1 + 1e-12)
+    assert t <= 0.5 * d * f * (1 + 1e-12)
+    assert _trace_distance(*rhos, screen=0.5 * f * (1 - 1e-9)) <= t * (1 + 1e-12)
+    assert _trace_distance(*rhos, screen=0.5 * f * (1 + 1e-9)) == t
 
 
 @pytest.mark.parametrize("beta", [20.0, 30.0, 300.0, 3000.0])

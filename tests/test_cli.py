@@ -8,12 +8,13 @@ import sys
 import numpy as np
 import pytest
 
+import reference_kernels as ref
 from sparsetn import bp, oracles, variational
 from sparsetn.cli import _grid, main
 from sparsetn.graph import graph_from_json, load_graph, random_regular, save_graph
 from sparsetn.hamiltonian import transverse_field_ising
 from sparsetn.oracles import exact_diagonalize
-from sparsetn.states import random_state
+from sparsetn.states import graph_state, random_state
 
 
 def read_csv(path):
@@ -113,6 +114,19 @@ class TestBpRun:
         assert ([(t.shape, t.tobytes()) for t in built[0].site_tensors]
                 == [(t.shape, t.tobytes()) for t in expected.site_tensors])
 
+    @pytest.mark.parametrize("kind", ["sqrt", "graph"])
+    def test_diagnostics_are_the_exact_deltas(self, tmp_path, graph_file, kind):
+        assert main(["bp-run", "--graph", graph_file, "--state", kind, "--beta", "0.6", "--init", "random",
+                     "--seed", "3", "--max-steps", "300", "--tol", "1e-9", "--out-dir", str(tmp_path)]) == 0
+        g = load_graph(graph_file)
+        state = variational.SqrtInit(beta=0.6).state(g, 2, 2) if kind == "sqrt" else graph_state(g)
+        rows = read_csv(tmp_path / "bp_diagnostics.csv")
+        assert len(rows) > 2
+        for row, (rdm_delta, msg_delta) in zip(rows, ref.run_bp_deltas(state, bp.init_messages(state, "random", 3),
+                                                                        len(rows)), strict=True):
+            assert abs(float(row["max_rdm_trace_distance"]) - rdm_delta) <= 1e-12
+            assert abs(float(row["max_message_delta"]) - msg_delta) <= 1e-12
+
 
 class TestGraphstateCheck:
     def test_columns_and_fixed_point(self, tmp_path, graph_file):
@@ -125,6 +139,15 @@ class TestGraphstateCheck:
         assert abs(float(last["edge_entropy"]) - 2 * np.log(2)) < 1e-8
         for col in ("mean_abs_z", "mean_x", "mean_y"):
             assert abs(float(last[col])) < 1e-8
+
+    def test_trace_distances_are_exact(self, tmp_path, graph_file):
+        assert main(["graphstate-check", "--graph", graph_file, "--init", "random", "--seed", "3", "--steps", "6",
+                     "--out-dir", str(tmp_path)]) == 0
+        state = graph_state(load_graph(graph_file))
+        rows = read_csv(tmp_path / "graphstate_check.csv")
+        for row, (rdm_delta, _) in zip(rows, ref.run_bp_deltas(state, bp.init_messages(state, "random", 3), 6),
+                                       strict=True):
+            assert abs(float(row["max_rdm_trace_distance"]) - rdm_delta) <= 1e-12
 
 
 class TestSqrtSweep:
