@@ -14,7 +14,9 @@ observables are already stationary, so the message residual is reported as a
 diagnostic only. Whole-graph quantities (messages, the one-site and edge blocks
 of every site and edge, and the convergence check) come from the batched gates
 of ``sparsetn.env``, built once per message set; ``run_bp`` hands on the
-environment of its final messages. ``rdm`` on k chosen sites contracts only
+environment of its final messages. ``run_bp_stacked`` runs many states on one
+graph as the copies of one environment, each exactly as ``run_bp`` would run it
+alone; ``run_bp`` is its one-copy case. ``rdm`` on k chosen sites contracts only
 those k site tensors and their incoming messages.
 """
 
@@ -24,12 +26,12 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import count
 
 import numpy as np
 import numpy.random
 
-from .env import RDM_ERROR, Environment, site_gate, unit_trace
+from .env import RDM_ERROR, Environment, site_gate, stacked, unit_trace
 from .states import TensorNetworkState
 from .tensor import PAULI_X, PAULI_Y, PAULI_Z, tensor_from_json, tensor_to_json
 
@@ -42,6 +44,7 @@ __all__ = [
     "bp_step",
     "bp_iterate",
     "run_bp",
+    "run_bp_stacked",
     "rdm",
     "expectation",
     "entanglement_entropy",
@@ -52,6 +55,9 @@ __all__ = [
     "bp_diagnostics_to_csv",
     "save_messages",
 ]
+
+
+_CHUNK_ENTRIES = 2**16  # padded site-tensor entries per stack of copies: ~40 MB of a sweep descent's arrays at chi=2
 
 
 @dataclass
@@ -78,7 +84,8 @@ class BpConfig:
 
 @dataclass
 class BpDiagnostics:
-    """``run_bp``'s record: ``rdm_deltas`` are exact unless the run passed ``exact_deltas=False``."""
+    """``run_bp``'s record: ``rdm_deltas`` are exact, and ``message_deltas`` kept, unless the run passed
+    ``exact_deltas=False``."""
 
     steps_run: int
     converged: bool
@@ -176,7 +183,7 @@ def rdm(state: TensorNetworkState, msgs: dict, sites) -> Rdm:
     return Rdm(sites=sites, matrix=unit_trace(mat[None], [(sites,)], RDM_ERROR)[0])
 
 
-def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0, *, screen: float | None = None):
+def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0):
     """Synchronous steps from ``msgs``, without end.
 
     Yields ``(env, rdm_delta, message_delta)`` after every step: the
@@ -186,8 +193,6 @@ def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0, *, s
     once and give both its edge RDMs and the next messages. A message or edge
     RDM that loses positivity in step k raises ``RuntimeError("BP step k: ...")``;
     so does one of the edge RDMs of ``msgs`` themselves, under step 1.
-    ``rdm_delta`` is exact unless ``screen`` is given; then a step whose lower
-    bound (see ``_trace_distance``) exceeds ``screen`` yields that bound.
     """
     edges, env, prev = state.graph.edges, Environment(state, msgs), None
     for k in count(1):
@@ -199,7 +204,7 @@ def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0, *, s
         except RuntimeError as err:
             raise RuntimeError(f"BP step {k}: {err}") from err
         msg_delta = float(np.linalg.norm(new.msg_stack - env.msg_stack, axis=(1, 2)).max(initial=0.0))
-        rdm_delta = _trace_distance(prev, cur, screen) if edges else 0.0
+        rdm_delta = _trace_distance(prev, cur) if edges else 0.0
         env, prev = new, cur
         yield env, rdm_delta, msg_delta
 
@@ -211,38 +216,107 @@ def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: dict | 
     ``Environment`` of those messages, so callers take their observables and
     energies from its gates instead of rebuilding them. Non-convergence within
     ``max_steps`` is reported through the diagnostics, not raised. With
-    ``exact_deltas=False`` (no reader of ``rdm_deltas``) BP screens at
-    ``rdm_tolerance``: it skips most eigensolves and stops where it would.
+    ``exact_deltas=False`` (no reader of ``rdm_deltas`` or ``message_deltas``) BP
+    screens at ``rdm_tolerance``: it skips most eigensolves and stops where it would.
     """
     cfg = cfg or BpConfig()
     if msgs is None:
         msgs = init_messages(state, cfg.init, cfg.init_seed)
-    diag = BpDiagnostics(steps_run=0, converged=False)
-    screen = None if exact_deltas else cfg.rdm_tolerance
-    for env, rdm_delta, msg_delta in islice(bp_iterate(state, msgs, cfg.damping, screen=screen), cfg.max_steps):
-        diag.steps_run += 1
-        diag.rdm_deltas.append(rdm_delta)
-        diag.message_deltas.append(msg_delta)
-        if rdm_delta <= cfg.rdm_tolerance:
-            diag.converged = True
-            break
-    diag.env = env
-    return env.msgs, diag
+    return run_bp_stacked([(state, msgs, "")], cfg, exact_deltas=exact_deltas)[0]
+
+
+def run_bp_stacked(runs, cfg: BpConfig, *, exact_deltas=True) -> list:
+    """``run_bp(state, cfg, msgs, exact_deltas=...)`` of each ``(state, msgs, name)`` of ``runs``, bit for bit.
+
+    The states share one graph and one set of tensor shapes. They step as the copies of one environment, in chunks
+    of at most ``_CHUNK_ENTRIES`` padded site-tensor entries, and each copy leaves at its own stop step. A stack holds
+    copies of one kind: a copy whose messages turn real moves to the real stack at that step, as it would alone. A
+    failure raises ``RuntimeError("<name>BP step k: ...")``.
+    """
+    state = runs[0][0]
+    per_chunk = _per_chunk(state.graph, state.phys_dim, max(state.bond_dims.values(), default=1))
+    return [out for c in range(0, len(runs), per_chunk) for out in _converge(runs[c:c + per_chunk], cfg, exact_deltas)]
+
+
+def _per_chunk(g, d: int, chi: int) -> int:
+    """How many copies of a state on ``g`` with physical dimension ``d``, padded to bond dimension ``chi``, one stack
+    holds under ``_CHUNK_ENTRIES`` (at least one)."""
+    return max(1, _CHUNK_ENTRIES // sum(d * chi ** g.degree(v) for v in range(g.n)))
+
+
+def _converge(runs, cfg: BpConfig, exact_deltas: bool) -> list:
+    """``run_bp_stacked`` of one chunk. Each entry of ``live`` is a stack: its environment, its copies' indices into
+    ``runs`` and their (copies, m, d^2, d^2) edge RDMs under its previous messages."""
+    names, diags = [name for *_, name in runs], [BpDiagnostics(steps_run=0, converged=False) for _ in runs]
+    real = np.array([not any(t.imag.any() for t in state.site_tensors) for state, *_ in runs])
+    m, dd, screen = len(runs[0][0].graph.edges), runs[0][0].phys_dim ** 2, None if exact_deltas else cfg.rdm_tolerance
+    live = _restack([Environment(state, msgs) for state, msgs, _ in runs], list(range(len(runs))), None)
+    for k in range(1, cfg.max_steps + 1):
+        stepped, live = live, []
+        for env, ids, prev in stepped:
+            new = _named(k, names, ids, env.step, cfg.damping)
+            if prev is None:
+                prev = _named(k, names, ids, env.edge_rdms).reshape(len(ids), m, dd, dd)
+            if exact_deltas:
+                moved = np.linalg.norm(new.msg_stack - env.msg_stack, axis=(1, 2)).reshape(len(ids), -1)
+                for i, delta in zip(ids, moved.max(axis=1, initial=0.0).tolist()):
+                    diags[i].message_deltas.append(delta)
+            # copies of real site tensors whose messages turned real leave a complex stack for a real one
+            turned = len(ids) > 1 and new.msg_stack.dtype == complex and np.any(
+                real[ids] & ~new.msg_stack.imag.reshape(len(ids), -1).any(1))
+            for env, ids, prev in _restack(new.copies(), ids, prev) if turned else [(new, ids, prev)]:
+                cur = _named(k, names, ids, env.edge_rdms).reshape(len(ids), m, dd, dd)
+                for i, delta in zip(ids, _trace_distances(prev, cur, screen) if m else [0.0] * len(ids)):
+                    diags[i].steps_run, diags[i].converged = k, delta <= cfg.rdm_tolerance
+                    diags[i].rdm_deltas.append(delta)
+                staying = [p for p, i in enumerate(ids) if not diags[i].converged and k < cfg.max_steps]
+                if len(staying) == len(ids):
+                    live.append((env, ids, cur))
+                    continue
+                copies = env.copies() if len(ids) > 1 else [env]
+                for p, i in enumerate(ids):
+                    diags[i].env = copies[p]
+                live += _restack([copies[p] for p in staying], [ids[p] for p in staying], cur[staying])
+    return [(diag.env.msgs, diag) for diag in diags]
+
+
+def _named(k, names, ids, fn, *args):
+    """``fn(*args)`` in BP step ``k`` of the stack of copies ``ids``; a failure of its copy p is raised again as
+    ``RuntimeError("<names[ids[p]]>BP step k: ...")``."""
+    try:
+        return fn(*args)
+    except RuntimeError as err:
+        raise RuntimeError(f"{names[ids[err.copy]]}BP step {k}: {err}") from err
+
+
+def _restack(envs, ids, prev) -> list:
+    """``(environment, ids, prev)`` per kind, real or complex, of the unnamed lone ``envs``: the stack of that
+    kind's copies, their entries of ``ids`` and their rows of ``prev`` (None stays None)."""
+    kinds = {}
+    for p, env in enumerate(envs):
+        kinds.setdefault(env.msg_stack.dtype, []).append(p)
+    return [(envs[ps[0]] if len(ps) == 1 else stacked([envs[p] for p in ps], [""] * len(ps)), [ids[p] for p in ps],
+             None if prev is None else prev[ps]) for ps in kinds.values()]
 
 
 def _trace_distance(m1, m2, screen: float | None = None) -> float:
-    """Half the trace norm of ``m1 - m2``; for stacks of matrices, the largest one.
+    """Half the trace norm of ``m1 - m2``; for stacks of matrices, the largest one (see ``_trace_distances``)."""
+    return _trace_distances(*(np.reshape(m, (1, -1) + np.shape(m)[-2:]) for m in (m1, m2)), screen)[0]
+
+
+def _trace_distances(m1, m2, screen: float | None = None) -> list:
+    """Per copy (the first axis of the ``(copies, k, D, D)`` stacks), the largest half trace norm of ``m1 - m2``.
 
     Half the largest Frobenius norm is a lower bound, with sqrt(2) to spare
     against rounding when ``m1 - m2`` is traceless; it is returned, without an
-    eigensolve, when it exceeds ``screen``.
+    eigensolve, for each copy where it exceeds ``screen``.
     """
     diff = np.subtract(m1, m2)
-    if screen is not None:
-        bound = 0.5 * float(np.linalg.norm(diff, axis=(-2, -1)).max())
-        if bound > screen:
-            return bound
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1).max())
+    out = 0.5 * np.linalg.norm(diff, axis=(-2, -1)).max(axis=1)
+    exact = np.ones(len(out), dtype=bool) if screen is None else ~(out > screen)
+    if exact.any():
+        out[exact] = 0.5 * np.abs(np.linalg.eigvalsh(diff[exact])).sum(axis=-1).max(axis=1)
+    return out.tolist()
 
 
 def expectation(rho: Rdm, op) -> float:

@@ -144,12 +144,12 @@ def cmd_sqrt_sweep(args) -> None:
         header += ["exact_mean_abs_z", "exact_mean_x", "max_dev_z", "max_dev_x"]
     rows = []
     report = []
-    for i, beta in enumerate(betas):
-        state = states.square_root_state(g, beta, args.j)
-        cfg = bp.BpConfig(max_steps=args.max_steps, rdm_tolerance=args.tol,
-                          damping=args.damping, init=args.init, init_seed=args.seed + i)
-        _, diag = bp.run_bp(state, cfg, exact_deltas=False)
-        env = diag.env
+    sweep = [states.square_root_state(g, beta, args.j) for beta in betas]
+    cfg = bp.BpConfig(max_steps=args.max_steps, rdm_tolerance=args.tol, damping=args.damping)
+    runs = bp.run_bp_stacked([(state, bp.init_messages(state, args.init, args.seed + i), f"beta={beta}: ")
+                              for i, (beta, state) in enumerate(zip(betas, sweep))], cfg, exact_deltas=False)
+    for i, (beta, (_, diag)) in enumerate(zip(betas, runs)):
+        env, diag.env = diag.env, None  # each beta's arrays go once its row is built
         obs = bp._site_averages(env)
         mc = oracles.classical_ising_mc(g, beta, args.j, sweeps=args.mc_sweeps,
                                         burn_in=args.mc_burn_in, seed=args.seed + 1000 + i, batches=_MC_BATCHES)

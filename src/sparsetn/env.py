@@ -20,15 +20,21 @@ arrays indexed by directed edge. A group's ket layers are leg-stacked rows: r
 copies of the stack, copy l with leg l moved first, dressed together by at
 most r - 1 contiguous matmuls, one per leg or per pair of legs. Gates, blocks,
 environments and gradients are reshaped batched matmuls, so a group costs a
-fixed number of numpy calls whatever r is. Every product of the layer goes
-through ``_mm``: one whose right-hand matrices have at most 16 entries (on a
-3-regular graph at chi = 2 and d = 2, every one) runs as a real matmul, which
-numpy does several times faster than a complex one at these sizes; the rule
-reads only each matrix's shape, so a stacked copy keeps its lone bits.
-Each stack and its rows are built once, on first use. Runs on one graph can share an environment as copies,
-as offsets within the lone graph's layout: copy p's vertex ids are shifted by p * n and its directed-edge ids by
-p * 2m. Each copy's values are exactly those of a lone run, energies are summed per copy, and errors name the copy
-and use its own ids.
+fixed number of numpy calls whatever r is. An environment computes in float64
+when no site tensor and no message of any copy has an imaginary part, else in
+complex128; every way to build one (``Environment``, ``step``, ``with_stacks``,
+``stacked``, ``copies``) decides from the values, so BP on a real state turns
+real at the first step whose messages are real. The states and messages it
+hands out (``state``, ``msgs``) stay complex128. Every product of the layer
+goes through ``_mm``: a real one is a plain matmul, and a complex one whose
+right-hand matrices have at most 16 entries (on a 3-regular graph at chi = 2
+and d = 2, every one) runs as a real matmul, which numpy does several times
+faster than a complex one at these sizes; the rule reads only each matrix's
+shape and dtype, so a stacked copy keeps its lone bits as long as the stack
+holds copies of one kind. Each stack and its rows are built once, on first use.
+Runs on one graph can share an environment as copies, as offsets within the lone graph's layout: copy p's vertex
+ids are shifted by p * n and its directed-edge ids by p * 2m. Each copy's values are exactly those of a lone run,
+energies are summed per copy, and errors name the copy and use its own ids.
 """
 
 from __future__ import annotations
@@ -50,14 +56,16 @@ def unit_trace(mats, labels, error: str, names=("",)):
 
     ``labels`` label the matrices of one copy, and the stack holds one copy per
     name. A non-finite or non-positive trace raises ``RuntimeError`` with
-    ``names[p] + error.format(*labels[i], tr=trace)`` for the lowest such (p, label).
+    ``names[p] + error.format(*labels[i], tr=trace)`` for the lowest such (p, label), and p as its ``copy``.
     """
     mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
     tr = np.trace(mats, axis1=-2, axis2=-1).real
     ok = np.isfinite(tr) & (tr > 0.0)
     if not ok.all():
         p, i = min((divmod(k, len(labels)) for k in np.flatnonzero(~ok)), key=lambda pi: (pi[0], labels[pi[1]]))
-        raise RuntimeError(names[p] + error.format(*labels[i], tr=tr[p * len(labels) + i]))
+        err = RuntimeError(names[p] + error.format(*labels[i], tr=tr[p * len(labels) + i]))
+        err.copy = p
+        raise err
     return mats / tr[:, None, None]
 
 
@@ -79,11 +87,21 @@ def _moved(ndim, source, destination):
     return tuple(order)
 
 
+def _typed(stacks, msg_stack):
+    """``(stacks, msg_stack)`` all in float64 if none has an imaginary part, else all in complex128."""
+    arrays = [msg_stack, *stacks]
+    real = not any(a.dtype == complex and a.imag.any() for a in arrays)
+    if all((a.dtype == complex) != real for a in arrays):
+        return stacks, msg_stack
+    arrays = [a.real.copy() if real else a.astype(complex, copy=False) for a in arrays]
+    return arrays[1:], arrays[0]
+
+
 def _mm(a, b):
-    """``a @ b`` for complex stacks ``(B, p, k) @ (B, k, m)``; with k * m <= 16 as one real matmul, ``a`` read as
-    (re, im) pairs and each entry of ``b`` as the real block [[re, im], [-im, re]]."""
+    """``a @ b`` for stacks ``(B, p, k) @ (B, k, m)``: plain for real ``a``; for complex ``a`` with k * m <= 16 as one
+    real matmul, ``a`` read as (re, im) pairs and each entry of ``b`` as the real block [[re, im], [-im, re]]."""
     k, m = b.shape[1:]
-    if k * m > 16:
+    if k * m > 16 or a.dtype != complex:
         return a @ b
     e = np.empty((len(b), k, 2, m), dtype=complex)
     e[:, :, 0], e[:, :, 1] = b, 1j * b
@@ -195,7 +213,7 @@ class Environment:
     def __init__(self, state: TensorNetworkState, msgs: dict):
         lay = _layout(state.graph, tuple(t.shape for t in state.site_tensors), ("",))
         msg_stack = _pad([msgs[e] for e in lay.graph.directed_edges], (lay.chi, lay.chi))
-        self.lay, self.stacks, self.msg_stack = lay, lay.stack(state.site_tensors), msg_stack
+        self.lay, (self.stacks, self.msg_stack) = lay, _typed(lay.stack(state.site_tensors), msg_stack)
         self.state, self.msgs = state, msgs
 
     @cached_property
@@ -210,8 +228,8 @@ class Environment:
         """The lone copy's messages; the copies of a stacked environment are read through ``copies``."""
         if len(self.lay.names) > 1:
             raise ValueError(f"a stack of {len(self.lay.names)} copies has no one message set; read each via copies()")
-        de, chis = self.lay.graph.directed_edges, self.lay.chis
-        return {de[k]: self.msg_stack[k, :chis[k], :chis[k]] for k in self.lay.order}
+        de, chis, msg_stack = self.lay.graph.directed_edges, self.lay.chis, self.msg_stack.astype(complex, copy=False)
+        return {de[k]: msg_stack[k, :chis[k], :chis[k]] for k in self.lay.order}
 
     @cached_property
     def _rows(self):
@@ -230,7 +248,7 @@ class Environment:
     def _gates(self):
         """(2m, d, d, chi, chi) gates, indexed by directed edge."""
         d, chi = self.lay.phys_dim, self.lay.chi
-        gates = np.empty((len(self.msg_stack), d, d, chi, chi), dtype=complex)
+        gates = np.empty((len(self.msg_stack), d, d, chi, chi), dtype=self.msg_stack.dtype)
         for (_, r, _, targets), (bra, ket) in zip(self.lay.groups, self._kets):
             if r:
                 gates[targets] = np.ascontiguousarray(_close(ket, bra, 1))
@@ -240,7 +258,7 @@ class Environment:
     def site_blocks(self):
         """(n, d, d) one-site blocks in vertex order: each vertex's leg-0 gate closed with its incoming message."""
         d = self.lay.phys_dim
-        blocks = np.empty((len(self.lay.names) * self.lay.graph.n, d, d), dtype=complex)
+        blocks = np.empty((len(self.lay.names) * self.lay.graph.n, d, d), dtype=self.msg_stack.dtype)
         for (vs, r, _, targets), (bra, ket) in zip(self.lay.groups, self._kets):
             t0 = targets[:len(vs)]
             blocks[vs] = (np.einsum("kijxy,kxy->kij", self._gates[t0], self.msg_stack[t0 ^ 1]) if r
@@ -278,7 +296,8 @@ class Environment:
         return env
 
     def copies(self) -> list:
-        """One environment per copy, in the layout of a lone copy, on views of this one's arrays."""
+        """One environment per copy, in the layout of a lone copy, on views of this one's arrays (real copies of
+        them where a copy's own values are real)."""
         lay, count = self.lay, len(self.lay.names)
         lone = _layout(lay.graph, lay.shapes, ("",))
         return [_environment(lone, list(s), m) for s, m in
@@ -347,8 +366,10 @@ def stacked(envs, names) -> Environment:
 
 
 def _environment(lay, stacks, msg_stack, **cached) -> Environment:
-    """An ``Environment`` of stacked site tensors and messages in the layout ``lay``, with ``cached`` properties."""
+    """An ``Environment`` of stacked site tensors and messages in the layout ``lay``, typed by ``_typed``, with
+    ``cached`` properties of the stacks unless typing changed them."""
     env = Environment.__new__(Environment)
-    env.lay, env.stacks, env.msg_stack = lay, stacks, msg_stack
-    env.__dict__.update(cached)
+    env.lay, (env.stacks, env.msg_stack) = lay, _typed(stacks, msg_stack)
+    if all(a is b for a, b in zip(env.stacks, stacks)):
+        env.__dict__.update(cached)
     return env

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random
 
-from .bp import BpConfig, _pauli_means, init_messages, run_bp
+from .bp import BpConfig, _pauli_means, _per_chunk, init_messages, run_bp
 from .env import Environment, stacked
 from .graph import Graph
 from .hamiltonian import Hamiltonian, transverse_field_ising
@@ -47,7 +47,6 @@ __all__ = [
 
 
 _DESCENT_TOLERANCE = 1e-8  # relative energy rise within one descent loop that raises StepSizeError
-_CHUNK_ENTRIES = 2**16  # padded site-tensor entries per stacked sweep descent: ~40 MB of its arrays at chi=2
 
 
 class StepSizeError(RuntimeError):
@@ -218,7 +217,7 @@ def sweep(g: Graph, hx_values, cfg: VarConfig, restarts: int, base_seed: int = 0
 
     Each (hx, restart) job perturbs the initial state with its own derived
     noise seed. The jobs run in ``workers`` contiguous chunks, or more if a
-    chunk would hold over ``_CHUNK_ENTRIES`` padded site-tensor entries; each
+    chunk would hold over ``bp._CHUNK_ENTRIES`` padded site-tensor entries; each
     chunk is one stacked descent, and several workers run them in that many
     processes. A failure names the hx and restart of its job. The points are the
     same, in the same order, for every ``workers``. Summary observables per job
@@ -231,7 +230,7 @@ def sweep(g: Graph, hx_values, cfg: VarConfig, restarts: int, base_seed: int = 0
     if workers < 1:
         raise ValueError("workers must be >= 1")
     jobs = [(float(hx), i, r) for i, hx in enumerate(hx_values) for r in range(restarts)]
-    per_chunk = max(1, _CHUNK_ENTRIES // sum(2 * cfg.chi ** g.degree(v) for v in range(g.n)))  # qubit sites
+    per_chunk = _per_chunk(g, 2, cfg.chi)  # qubit sites
     count = max(workers, -(-len(jobs) // per_chunk))
     chunks = [c for k in range(count) if (c := jobs[k * len(jobs) // count:(k + 1) * len(jobs) // count])]
     if workers > 1 and len(chunks) > 1:

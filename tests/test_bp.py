@@ -21,6 +21,7 @@ from sparsetn.bp import (
     rdm,
     rdm_trace_distance,
     run_bp,
+    run_bp_stacked,
     site_averaged_observables,
 )
 from sparsetn.env import Environment
@@ -474,3 +475,77 @@ PATH = build_tree(3, 1)
 def test_input_checks_name_the_problem(run, error):
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         run()
+
+
+SWEEP_BETAS = (0.2, 0.4, 0.5, 0.6, 0.8, 1.0)  # the benchmark's sqrt-sweep
+
+
+def assert_same_run(together, alone):
+    """Two ``run_bp`` results agree bit for bit: messages, step count, stop, deltas, final dtype and site averages."""
+    (msgs, diag), (lone_msgs, lone_diag) = together, alone
+    assert list(msgs) == list(lone_msgs)
+    assert all(msgs[key].dtype == complex and msgs[key].tobytes() == lone_msgs[key].tobytes() for key in msgs)
+    assert (diag.steps_run, diag.converged) == (lone_diag.steps_run, lone_diag.converged)
+    assert (diag.rdm_deltas, diag.message_deltas) == (lone_diag.rdm_deltas, lone_diag.message_deltas)
+    assert diag.env.msg_stack.dtype == lone_diag.env.msg_stack.dtype
+    if diag.env.lay.phys_dim == 2:
+        assert _site_averages(diag.env) == _site_averages(lone_diag.env)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 8303])
+def test_stacked_sweep_equals_lone_runs(seed):
+    """sqrt-sweep's BP: every beta of the benchmark's sweep stacked, each copy leaving at its own stop step."""
+    g = random_regular(40, 3, seed)
+    states = [square_root_state(g, beta) for beta in SWEEP_BETAS]
+    cfg = BpConfig(max_steps=300, rdm_tolerance=1e-9)
+    runs = [(s, init_messages(s, "random", seed + i), f"beta={beta}: ") for i, (beta, s) in
+            enumerate(zip(SWEEP_BETAS, states))]
+    together = run_bp_stacked(runs, cfg, exact_deltas=False)
+    assert len({diag.steps_run for _, diag in together}) > 1
+    for i, (result, s) in enumerate(zip(together, states)):
+        alone = run_bp(s, BpConfig(max_steps=300, rdm_tolerance=1e-9, init="random", init_seed=seed + i),
+                       exact_deltas=False)
+        assert_same_run(result, alone)
+        assert result[1].converged and result[1].env.msg_stack.dtype == np.float64
+        assert result[1].message_deltas == []  # a screened run keeps no message deltas
+
+
+def test_mixed_stack_equals_lone_runs():
+    """Copies of both kinds in one run: a square-root state whose random messages turn real at step 2, one whose
+    identity messages are real from the start, a complex random state, and one that stops at ``max_steps``."""
+    g = random_regular(40, 3, 0)
+    runs = [(square_root_state(g, 0.2), "random", 1), (random_state(g, 2, seed=4), "random", 2),
+            (square_root_state(g, 0.5), "random", 3), (graph_state(g), "identity", 0)]
+    together = run_bp_stacked([(s, init_messages(s, init, seed), f"{i}: ") for i, (s, init, seed) in
+                               enumerate(runs)], BpConfig(max_steps=60, rdm_tolerance=1e-9))
+    alone = [run_bp(s, BpConfig(max_steps=60, rdm_tolerance=1e-9, init=init, init_seed=seed)) for s, init, seed in runs]
+    for result, lone in zip(together, alone, strict=True):
+        assert_same_run(result, lone)
+    assert [diag.converged for _, diag in together] == [True, True, False, True]
+    assert [diag.env.msg_stack.dtype for _, diag in together] == [np.float64, np.complex128, np.float64, np.float64]
+    assert [diag.steps_run for _, diag in together] == [19, 43, 60, 1]
+    assert [len(diag.message_deltas) for _, diag in together] == [19, 43, 60, 1]
+
+
+@pytest.mark.parametrize("state", [square_root_state(random_regular(20, 3, seed=8), 0.4),
+                                   graph_state(random_regular(20, 3, seed=8))], ids=["sqrt", "graph"])
+@pytest.mark.parametrize("init", ["identity", "random"])
+def test_real_states_end_in_real_arithmetic_and_hand_out_complex(state, init):
+    msgs, diag = run_bp(state, BpConfig(max_steps=60, rdm_tolerance=1e-10, init=init, init_seed=2))
+    assert diag.env.msg_stack.dtype == np.float64 and all(s.dtype == np.float64 for s in diag.env.stacks)
+    assert all(m.dtype == np.complex128 for m in msgs.values())
+    assert all(m.dtype == np.complex128 for m in bp_step(state, msgs).values())
+    assert all(t.dtype == np.complex128 for t in diag.env.state.site_tensors)
+    assert Environment(state, msgs).msg_stack.dtype == np.float64
+    json_msgs = messages_from_json(messages_to_json(msgs))
+    assert all(json_msgs[key].dtype == np.complex128 for key in msgs)
+
+
+def test_stacked_failure_names_its_copy():
+    g = random_regular(12, 3, seed=2)
+    runs = [(square_root_state(g, beta), init_messages(square_root_state(g, beta), "random", 1), f"beta={beta}: ")
+            for beta in (0.2, 0.5, 0.8)]
+    dead = {key: np.zeros_like(m) for key, m in runs[1][1].items()}
+    runs[1] = (runs[1][0], dead, runs[1][2])
+    with pytest.raises(RuntimeError, match=r"^beta=0\.5: BP step 1: message 0->\d+ lost positivity \(trace=0\.0\)$"):
+        run_bp_stacked(runs, BpConfig(max_steps=20))

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -199,6 +200,46 @@ class TestSqrtSweep:
         assert cfg_path.exists()
         assert main(["sqrt-sweep", "--config", str(cfg_path), "--out-dir", str(d2)]) == 0
         assert (d1 / "sqrt_sweep.csv").read_bytes() == (d2 / "sqrt_sweep.csv").read_bytes()
+
+
+    def test_one_beta_per_chunk_is_byte_identical(self, tmp_path, graph_file, monkeypatch):
+        """The BP driver's memory budget splits the betas into chunks without moving a bit of the output."""
+        args = ["sqrt-sweep", "--graph", graph_file, "--betas", "0.2,0.5,0.8", "--mc-sweeps", "400", "--mc-burn-in",
+                "100", "--seed", "3"]
+        sizes, converge = [], bp._converge
+        monkeypatch.setattr(bp, "_converge", lambda runs, *rest: sizes.append(len(runs)) or converge(runs, *rest))
+        assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(bp, "_CHUNK_ENTRIES", 1)
+        assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
+        assert sizes == [3, 1, 1, 1]
+        assert (tmp_path / "a" / "sqrt_sweep.csv").read_bytes() == (tmp_path / "b" / "sqrt_sweep.csv").read_bytes()
+
+    def test_failure_names_its_beta(self, tmp_path, graph_file, capsys, monkeypatch):
+        init = bp.init_messages
+
+        def dead_second_beta(state, kind, seed):
+            msgs = init(state, kind, seed)
+            return {key: np.zeros_like(m) for key, m in msgs.items()} if seed == 4 else msgs
+
+        monkeypatch.setattr(bp, "init_messages", dead_second_beta)
+        assert main(["sqrt-sweep", "--graph", graph_file, "--betas", "0.2,0.5,0.8", "--mc-sweeps", "400",
+                     "--mc-burn-in", "100", "--seed", "3", "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: beta=0\.5: BP step 1: message 0->\d+ lost positivity \(trace=0\.0\)\n",
+                            err), err
+        assert not (tmp_path / "sqrt_sweep.csv").exists()
+
+    def test_blas_threads_preserve_output(self, tmp_path, graph_file):
+        """The stacked betas' real matmuls give the same bits under one and two BLAS threads."""
+        src = os.path.dirname(os.path.dirname(bp.__file__))
+        outs = [tmp_path / f"blas{t}" for t in ("1", "2")]
+        for t, out in zip(("1", "2"), outs):
+            argv = ["sqrt-sweep", "--graph", graph_file, "--betas", "0.2,0.5,0.8", "--mc-sweeps", "300",
+                    "--mc-burn-in", "100", "--out-dir", str(out)]
+            code = f"import sys; from sparsetn.cli import main; sys.exit(main({argv!r}))"
+            subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t))
+        assert (outs[0] / "sqrt_sweep.csv").read_bytes() == (outs[1] / "sqrt_sweep.csv").read_bytes()
 
 
 class TestVarPrep:

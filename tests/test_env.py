@@ -21,7 +21,7 @@ from sparsetn.bp import bp_iterate, bp_step, init_messages, rdm
 from sparsetn.env import Environment, stacked
 from sparsetn.graph import Graph, grid_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian
-from sparsetn.states import TensorNetworkState, random_state
+from sparsetn.states import TensorNetworkState, graph_state, random_state, square_root_state
 from sparsetn.variational import energy, energy_gradient
 
 RTOL = 1e-12
@@ -420,3 +420,31 @@ def test_stacked_environment_has_no_lone_state_or_messages():
     for copy in env.copies():
         assert all(np.array_equal(a, b) for a, b in zip(copy.state.site_tensors, state.site_tensors))
         assert all(np.array_equal(copy.msgs[e], lone.msgs[e]) for e in lone.msgs)
+
+
+@pytest.mark.parametrize("kind", ["sqrt", "graph"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_real_layer_matches_reference(kind, seed):
+    """A real state under real messages runs the layer in float64: its messages, RDMs, energy and gradient against
+    the reference, on a 3-regular graph (seed 0) and a grid of degrees 2, 3 and 4 (seed 1)."""
+    g = grid_graph(3, 4) if seed else random_regular(20, 3, seed=seed)
+    state = square_root_state(g, 0.6) if kind == "sqrt" else graph_state(g)
+    msgs = {key: m.real.astype(complex) for key, m in init_messages(state, "random", seed=seed).items()}
+    env = Environment(state, msgs)
+    assert env.msg_stack.dtype == np.float64 and all(s.dtype == np.float64 for s in env.stacks)
+    for damping in (0.0, 0.3):
+        new, old = bp_step(state, msgs, damping), ref.bp_step(state, msgs, damping)
+        assert list(new) == list(old)
+        for key in old:
+            assert_matches(new[key], old[key])
+    for a, rho in enumerate(env.site_rdms()):
+        assert_matches(rho, ref.rdm(state, msgs, (a,)))
+    for e, rho in zip(g.edges, env.edge_rdms(), strict=True):
+        assert_matches(rho, ref.rdm(state, msgs, e))
+    rng = np.random.default_rng(seed)
+    h = Hamiltonian(graph=g, edge_terms={e: random_hermitian(rng, 4) for e in g.edges},
+                    vertex_terms={a: random_hermitian(rng, 2) for a in range(0, g.n, 2)})
+    e_ref, g_ref = ref.energy_and_gradient(state, msgs, h)
+    assert abs(energy(state, msgs, h) - e_ref) <= RTOL * abs(e_ref)
+    for new_grad, old_grad in zip(energy_gradient(state, msgs, h), g_ref, strict=True):
+        assert_matches(new_grad, old_grad)
