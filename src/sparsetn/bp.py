@@ -58,6 +58,7 @@ __all__ = [
 
 
 _CHUNK_ENTRIES = 2**16  # padded site-tensor entries per stack of copies: ~40 MB of a sweep descent's arrays at chi=2
+_ZZ = np.kron(PAULI_Z, PAULI_Z)
 
 
 @dataclass
@@ -373,15 +374,17 @@ def _site_averages(env: Environment) -> SiteAverages:
     if env.lay.phys_dim != 2:
         raise ValueError("site_averaged_observables requires qubits (d = 2)")
     site_rdms, edge_rdms = env.site_rdms(), env.edge_rdms()
-    mean_abs_z, mean_x, edge_zz = _pauli_means(site_rdms, edge_rdms)
+    (mean_abs_z, mean_x, edge_zz), = _pauli_means(site_rdms, edge_rdms)
     return SiteAverages(mean_abs_z=mean_abs_z, mean_x=mean_x, mean_y=float(np.mean(_expectations(site_rdms, PAULI_Y))),
                         edge_entropy=float(np.mean(_entropies(edge_rdms))) if len(edge_rdms) else 0.0, edge_zz=edge_zz)
 
 
-def _pauli_means(sites, edges):
-    """Mean |<Z>| and mean <X> over one-site density matrices, and mean <ZZ> over edge ones (0 for none)."""
-    zz = float(np.mean(_expectations(edges, np.kron(PAULI_Z, PAULI_Z)))) if len(edges) else 0.0
-    return float(np.mean(np.abs(_expectations(sites, PAULI_Z)))), float(np.mean(_expectations(sites, PAULI_X))), zz
+def _pauli_means(sites, edges, copies: int = 1) -> list:
+    """Per copy of ``copies`` equal parts of the stacks: mean |<Z>| and <X> over its one-site density matrices and
+    mean <ZZ> over its edge ones (0 for none)."""
+    z, x = (_expectations(sites, op).reshape(copies, -1) for op in (PAULI_Z, PAULI_X))
+    zz = _expectations(edges, _ZZ).reshape(copies, -1).mean(1) if len(edges) else np.zeros(copies)
+    return list(zip(np.abs(z).mean(1).tolist(), x.mean(1).tolist(), zz.tolist()))
 
 
 def messages_to_json(msgs: dict) -> dict:

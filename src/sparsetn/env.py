@@ -26,12 +26,17 @@ complex128; every way to build one (``Environment``, ``step``, ``with_stacks``,
 ``stacked``, ``copies``) decides from the values, so BP on a real state turns
 real at the first step whose messages are real. The states and messages it
 hands out (``state``, ``msgs``) stay complex128. Every product of the layer
-goes through ``_mm``: a real one is a plain matmul, and a complex one whose
+follows ``_mm``: a real one is a plain matmul, and a complex one whose
 right-hand matrices have at most 16 entries (on a 3-regular graph at chi = 2
 and d = 2, every one) runs as a real matmul, which numpy does several times
 faster than a complex one at these sizes; the rule reads only each matrix's
 shape and dtype, so a stacked copy keeps its lone bits as long as the stack
-holds copies of one kind. Each stack and its rows are built once, on first use.
+holds copies of one kind. Each operand is built on first use, once per value
+of what it reads. ``_incoming`` reads only the messages: per group, the
+gathered incoming messages, pair-merged and in ``_mm``'s form, and the leg-0
+messages; ``with_stacks`` hands it on. ``_rows`` reads only the stacks; ``step``
+hands it on. Each rescans only the input it replaces for an imaginary part.
+``copies`` hands a copy of the stack's dtype views of its gates and edge blocks.
 Runs on one graph can share an environment as copies, as offsets within the lone graph's layout: copy p's vertex
 ids are shifted by p * n and its directed-edge ids by p * 2m. Each copy's values are exactly those of a lone run,
 energies are summed per copy, and errors name the copy and use its own ids.
@@ -87,43 +92,67 @@ def _moved(ndim, source, destination):
     return tuple(order)
 
 
-def _typed(stacks, msg_stack):
-    """``(stacks, msg_stack)`` all in float64 if none has an imaginary part, else all in complex128."""
+def _has_imag(arrays) -> bool:
+    """Whether any of ``arrays`` holds a nonzero imaginary part."""
+    return any(a.dtype == complex and a.imag.any() for a in arrays)
+
+
+def _typed(stacks, msg_stack, real: bool):
+    """``(stacks, msg_stack)`` all in float64 if ``real``, else all in complex128."""
     arrays = [msg_stack, *stacks]
-    real = not any(a.dtype == complex and a.imag.any() for a in arrays)
     if all((a.dtype == complex) != real for a in arrays):
         return stacks, msg_stack
     arrays = [a.real.copy() if real else a.astype(complex, copy=False) for a in arrays]
     return arrays[1:], arrays[0]
 
 
+def _operand(b, dtype):
+    """The ``(B, k, m)`` stack ``b`` as ``_mm`` multiplies a left side of ``dtype`` by it: for complex ``dtype`` and
+    k * m <= 16 the float64 ``(B, 2k, 2m)`` stack of its entries' real blocks [[re, im], [-im, re]], else ``b``."""
+    k, m = b.shape[1:]
+    if dtype != complex or k * m > 16:
+        return b
+    e = np.empty((len(b), k, 2, m), dtype=complex)
+    e[:, :, 0], e[:, :, 1] = b, 1j * b
+    return e.view(float).reshape(len(b), 2 * k, 2 * m)
+
+
 def _mm(a, b):
     """``a @ b`` for stacks ``(B, p, k) @ (B, k, m)``: plain for real ``a``; for complex ``a`` with k * m <= 16 as one
     real matmul, ``a`` read as (re, im) pairs and each entry of ``b`` as the real block [[re, im], [-im, re]]."""
-    k, m = b.shape[1:]
-    if k * m > 16 or a.dtype != complex:
-        return a @ b
-    e = np.empty((len(b), k, 2, m), dtype=complex)
-    e[:, :, 0], e[:, :, 1] = b, 1j * b
-    return (a.view(float) @ e.view(float).reshape(len(b), 2 * k, 2 * m)).view(complex)
+    return _times(a, _operand(b, a.dtype))
+
+
+def _times(a, op):
+    """``a @ b`` for stacks ``a`` and ``op = _operand(b, a.dtype)``."""
+    return (a.view(float) @ op).view(complex) if op.shape[1] > a.shape[2] else a @ op
 
 
 def _dress(t, msgs, axis):
-    """Absorb ``msgs[j]`` on axis ``axis + j`` of every tensor of the stack ``t``, for j in order: its trailing legs.
+    """Absorb ``msgs[j]`` on axis ``axis + j`` of every tensor of the stack ``t``, for j in order: its trailing legs."""
+    return _absorb(t, _dressing(msgs, t.dtype), axis)
 
-    Each step rotates the next legs last and absorbs them by one contiguous matmul: two legs of widths a and b
-    through the Kronecker product of their messages, ``(B, rest, ab) @ (B, ab, ab)``, exactly when that costs no more
-    multiply-adds than one at a time (ab <= a + b: both are 2, or one is 1), else one leg, ``(B, rest, a) @ (B, a, a)``;
-    either product goes through ``_mm``.
-    """
-    n, shape, lead, j = len(t), t.shape, math.prod(t.shape[1:axis]), 0
+
+def _dressing(msgs, dtype) -> list:
+    """The ``(width, _operand)`` steps by which ``_absorb`` dresses a stack of ``dtype`` with ``msgs``: two legs of
+    widths a and b through the Kronecker product of their messages exactly when that costs no more multiply-adds than
+    one at a time (ab <= a + b: both are 2, or one is 1), else one leg."""
+    steps, j = [], 0
     while j < len(msgs):
         m = msgs[j]
         if j + 1 < len(msgs) and m.shape[1] * msgs[j + 1].shape[1] <= m.shape[1] + msgs[j + 1].shape[1]:
             b, j = msgs[j + 1], j + 1
             m = (m[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(m), m.shape[1] * b.shape[1], -1)
-        t, j = t.reshape(n, lead, m.shape[1], -1).swapaxes(2, 3).reshape(n, -1, m.shape[1]), j + 1
-        t = _mm(t, m)
+        steps.append((m.shape[1], _operand(m, dtype)))
+        dtype, j = np.result_type(dtype, m.dtype), j + 1
+    return steps
+
+
+def _absorb(t, steps, axis):
+    """The stack ``t`` dressed on its legs from axis ``axis`` on by ``steps``, each one contiguous matmul."""
+    n, shape, lead = len(t), t.shape, math.prod(t.shape[1:axis])
+    for width, op in steps:
+        t = _times(t.reshape(n, lead, width, -1).swapaxes(2, 3).reshape(n, -1, width), op)
     return t.reshape(shape)
 
 
@@ -162,6 +191,7 @@ class _Layout:
         self.chi = max(self.chis, default=1)
         self.eyes = np.outer(np.eye(self.phys_dim), np.eye(self.phys_dim)), np.eye(self.phys_dim)
         self.order = sorted(range(len(de)), key=de.__getitem__)
+        self.reverse = np.arange(2 * len(graph.edges) * copies) ^ 1  # each directed edge's reverse
         by_degree = {}
         for v in range(graph.n):
             by_degree.setdefault(graph.degree(v), []).append(v)
@@ -213,7 +243,7 @@ class Environment:
     def __init__(self, state: TensorNetworkState, msgs: dict):
         lay = _layout(state.graph, tuple(t.shape for t in state.site_tensors), ("",))
         msg_stack = _pad([msgs[e] for e in lay.graph.directed_edges], (lay.chi, lay.chi))
-        self.lay, (self.stacks, self.msg_stack) = lay, _typed(lay.stack(state.site_tensors), msg_stack)
+        self.__dict__.update(_environment(lay, lay.stack(state.site_tensors), msg_stack).__dict__)
         self.state, self.msgs = state, msgs
 
     @cached_property
@@ -239,10 +269,16 @@ class Environment:
         return [(x, x.conj()) for x in rows]
 
     @cached_property
+    def _incoming(self):
+        """Per group: the ``_dressing`` of its rows by their incoming messages, and the messages in on its leg 0."""
+        return [(_dressing([self.msg_stack[ids] for ids in closed], self.msg_stack.dtype),
+                 self.msg_stack[targets[:len(vs)] ^ 1]) for vs, _, closed, targets in self.lay.groups]
+
+    @cached_property
     def _kets(self):
         """Per group: the conjugated rows and their ket layers (the rows themselves at degree 0)."""
-        return [(bra, _dress(rows, [self.msg_stack[ids] for ids in closed], 3) if r else rows)
-                for (_, r, closed, _), (rows, bra) in zip(self.lay.groups, self._rows)]
+        return [(bra, _absorb(rows, steps, 3) if r else rows)
+                for (_, r, *_), (rows, bra), (steps, _) in zip(self.lay.groups, self._rows, self._incoming)]
 
     @cached_property
     def _gates(self):
@@ -259,10 +295,9 @@ class Environment:
         """(n, d, d) one-site blocks in vertex order: each vertex's leg-0 gate closed with its incoming message."""
         d = self.lay.phys_dim
         blocks = np.empty((len(self.lay.names) * self.lay.graph.n, d, d), dtype=self.msg_stack.dtype)
-        for (vs, r, _, targets), (bra, ket) in zip(self.lay.groups, self._kets):
-            t0 = targets[:len(vs)]
-            blocks[vs] = (np.einsum("kijxy,kxy->kij", self._gates[t0], self.msg_stack[t0 ^ 1]) if r
-                          else _close(ket, bra, 0))
+        for (vs, r, _, targets), s, (_, leg0) in zip(self.lay.groups, self.stacks, self._incoming):
+            blocks[vs] = (np.einsum("kijxy,kxy->kij", self._gates[targets[:len(vs)]], leg0) if r
+                          else _close(s, s.conj(), 0))
         return blocks
 
     @cached_property
@@ -282,11 +317,12 @@ class Environment:
         # subnormal parts are flushed to zero, so rescaling a message by a power of two stays exact downstream
         parts = new.view(float)
         parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
-        return _environment(self.lay, self.stacks, new, _rows=self._rows)
+        return _environment(self.lay, self.stacks, new, (_has_imag([new]), self._imag[1]), _rows=self._rows)
 
     def with_stacks(self, stacks) -> "Environment":
         """Site-tensor stacks under the same messages; a bad tensor raises its copy's ``TensorNetworkState`` error."""
-        env = _environment(self.lay, stacks, self.msg_stack)
+        env = _environment(self.lay, stacks, self.msg_stack, (self._imag[0], _has_imag(stacks)),
+                           _incoming=self._incoming)
         if not all(np.isfinite(s).all() and s.reshape(len(s), -1).any(axis=1).all() for s in stacks):
             for name, copy in zip(self.lay.names, env.copies()):
                 try:
@@ -296,12 +332,13 @@ class Environment:
         return env
 
     def copies(self) -> list:
-        """One environment per copy, in the layout of a lone copy, on views of this one's arrays (real copies of
-        them where a copy's own values are real)."""
+        """One environment per copy, in the layout of a lone copy, on views of this one's arrays and built gates and
+        edge blocks (real copies of its arrays, and none of the rest, where a copy's own values are real)."""
         lay, count = self.lay, len(self.lay.names)
         lone = _layout(lay.graph, lay.shapes, ("",))
-        return [_environment(lone, list(s), m) for s, m in
-                zip(zip(*(np.split(s, count) for s in self.stacks)), np.split(self.msg_stack, count))]
+        built = {k: np.split(v, count) for k, v in self.__dict__.items() if k in ("_gates", "edge_blocks")}
+        return [_environment(lone, list(s), m, **{k: v[p] for k, v in built.items()}) for p, (s, m) in
+                enumerate(zip(zip(*(np.split(s, count) for s in self.stacks)), np.split(self.msg_stack, count)))]
 
     def site_rdms(self):
         """(n, d, d) Hermitian unit-trace one-site density matrices in vertex order."""
@@ -343,16 +380,15 @@ class Environment:
         # by real as complex division
         ops = (dir_ops - np.repeat(e_val, 2)[:, None, None] * lay.eyes[0]) * np.repeat(1.0 / e_norm, 2)[:, None, None]
         vert_ops = (vert_ops - s_val[:, None, None] * lay.eyes[1]) * (1.0 / s_norm)[:, None, None]
-        envs = _mm(ops, self._gates[np.arange(2 * m) ^ 1].reshape(2 * m, d * d, chi * chi))
+        envs = _mm(ops, self._gates[lay.reverse].reshape(2 * m, d * d, chi * chi))
         envs = envs.reshape(2 * m, d, d, chi, chi).transpose(0, 1, 4, 2, 3).reshape(2 * m, d * chi, d * chi)
         grads = []
-        for (vs, r, _, targets), (_, ket) in zip(self.lay.groups, self._kets):
+        for (vs, r, _, targets), (_, ket), (_, leg0) in zip(self.lay.groups, self._kets, self._incoming):
             if not r:
                 grads.append((vert_ops[vs] @ ket.reshape(len(vs), d, -1)).reshape(ket.shape))
                 continue
             # a site term V acts through the environment of its leg-0 edge as V (x) m^T, m the message in on that leg
-            t0 = targets[:len(vs)]
-            envs[t0] += np.einsum("kqp,kxy->kqypx", vert_ops[vs], self.msg_stack[t0 ^ 1]).reshape(len(vs), d * chi, -1)
+            envs[targets[:len(vs)]] += np.einsum("kqp,kxy->kqypx", vert_ops[vs], leg0).reshape(len(vs), d * chi, -1)
             rows = _mm(envs[targets], ket.reshape(len(ket), d * chi, -1)).reshape((r, len(vs)) + ket.shape[1:])
             grads.append(sum(block.transpose(_moved(block.ndim, 2, 2 + l)) for l, block in enumerate(rows)))
         return totals, grads
@@ -365,11 +401,12 @@ def stacked(envs, names) -> Environment:
     return _environment(lay, stacks, np.concatenate([env.msg_stack for env in envs]))
 
 
-def _environment(lay, stacks, msg_stack, **cached) -> Environment:
-    """An ``Environment`` of stacked site tensors and messages in the layout ``lay``, typed by ``_typed``, with
-    ``cached`` properties of the stacks unless typing changed them."""
+def _environment(lay, stacks, msg_stack, imag=None, **cached) -> Environment:
+    """An ``Environment`` of stacked site tensors and messages in the layout ``lay``, typed by whether each input holds
+    an imaginary part, ``imag`` (scanned if None), with the ``cached`` properties unless typing changed an input."""
     env = Environment.__new__(Environment)
-    env.lay, (env.stacks, env.msg_stack) = lay, _typed(stacks, msg_stack)
-    if all(a is b for a, b in zip(env.stacks, stacks)):
+    env._imag = imag or (_has_imag([msg_stack]), _has_imag(stacks))
+    env.lay, (env.stacks, env.msg_stack) = lay, _typed(stacks, msg_stack, not any(env._imag))
+    if env.msg_stack is msg_stack and env.stacks is stacks:
         env.__dict__.update(cached)
     return env

@@ -198,7 +198,7 @@ def _descend(g: Graph, cfg: VarConfig, jobs) -> list:
             e_prev = e_vals
             env = env.with_stacks([t - cfg.gamma * gr for t, gr in zip(env.stacks, grads)])
         energies = env.energy(terms)[0]
-        observables = (map(_pauli_means, np.split(env.site_rdms(), len(jobs)), np.split(env.edge_rdms(), len(jobs)))
+        observables = (_pauli_means(env.site_rdms(), env.edge_rdms(), len(jobs))
                        if env.lay.phys_dim == 2 else [(float("nan"),) * 3] * len(jobs))
         for trace, e_val, obs in zip(traces, energies, observables):
             for series, value in zip((trace.energies, trace.mean_abs_z, trace.mean_x, trace.mean_zz), (e_val, *obs)):
@@ -252,7 +252,7 @@ def _sweep_points(g: Graph, cfg: VarConfig, base_seed: int, jobs) -> list:
         try:
             _, diag = run_bp(trace.final_state, BpConfig(), msgs=trace.final_messages, exact_deltas=False)
             env = diag.env
-            mean_abs_z, mean_x, mean_zz = _pauli_means(env.site_rdms(), env.edge_rdms())
+            (mean_abs_z, mean_x, mean_zz), = _pauli_means(env.site_rdms(), env.edge_rdms())
             e_val = env.energy(env.lay.terms(h))[0][0]
         except RuntimeError as exc:
             raise RuntimeError(f"{name}{exc}") from exc

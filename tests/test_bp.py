@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from sparsetn.bp import (
     BpConfig,
     Rdm,
+    _expectations,
+    _pauli_means,
     _site_averages,
     _trace_distance,
     bp_diagnostics_to_csv,
@@ -346,6 +348,25 @@ class TestObservables:
         s = random_state(cycle_graph(6), 2, 0, phys_dim=3)
         with pytest.raises(ValueError, match="requires qubits"):
             site_averaged_observables(s, init_messages(s, "identity"))
+
+    @pytest.mark.parametrize("n", [16, 1000])
+    def test_pauli_means_per_copy_equal_one_call_per_slice(self, n):
+        """Three copies reduced together give the bits of the lone reduction of each ``np.split`` slice; at
+        n = 1000 numpy sums pairwise."""
+        rng = np.random.default_rng(n)
+
+        def densities(count, dim):
+            a = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+            rho = a @ a.conj().swapaxes(1, 2)
+            return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+        sites, edges = densities(3 * n, 2), densities(3 * (3 * n // 2), 4)
+        slices = list(zip(np.split(sites, 3), np.split(edges, 3)))
+        lone = [(float(np.mean(np.abs(_expectations(s, PAULI_Z)))), float(np.mean(_expectations(s, PAULI_X))),
+                 float(np.mean(_expectations(e, np.kron(PAULI_Z, PAULI_Z))))) for s, e in slices]
+        assert _pauli_means(sites, edges, 3) == lone
+        assert [_pauli_means(s, e)[0] for s, e in slices] == lone
+        assert [zz for *_, zz in _pauli_means(sites, edges[:0], 3)] == [0.0] * 3
 
 
 def exact_stop(state, cfg):

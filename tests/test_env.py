@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 import sparsetn.env
-from sparsetn.bp import bp_iterate, bp_step, init_messages, rdm
+from sparsetn.bp import _site_averages, bp_iterate, bp_step, init_messages, rdm
 from sparsetn.env import Environment, stacked
 from sparsetn.graph import Graph, grid_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian
@@ -116,7 +116,7 @@ def test_one_dressed_layer_per_group(monkeypatch):
     """Gates, site blocks and the gradient of one message set dress each group of degree r >= 1 once, and close
     each group once: its gates, or the blocks of the isolated vertex."""
     state, msgs, h = mixed_state(0, 2)
-    calls = {"_dress": 0, "_close": 0}
+    calls = {"_absorb": 0, "_close": 0}
     for name in calls:
         def counted(*args, name=name, real=getattr(sparsetn.env, name)):
             calls[name] += 1
@@ -127,7 +127,7 @@ def test_one_dressed_layer_per_group(monkeypatch):
     env.energy(env.lay.terms(h), gradient=True)
     degrees = [r for _, r, *_ in env.lay.groups]
     assert sorted(degrees) == [0, 1, 2, 3, 4]
-    assert calls == {"_dress": 4, "_close": 5}
+    assert calls == {"_absorb": 4, "_close": 5}
 
 
 # uniform leg widths, then alternating mixed ones; an odd leg count leaves a pair followed by a single leg
@@ -448,3 +448,104 @@ def test_real_layer_matches_reference(kind, seed):
     assert abs(energy(state, msgs, h) - e_ref) <= RTOL * abs(e_ref)
     for new_grad, old_grad in zip(energy_gradient(state, msgs, h), g_ref, strict=True):
         assert_matches(new_grad, old_grad)
+
+
+def two_copy_inputs(seed, real):
+    """Two states on the mixed-degree graph (degrees 0-4) sharing a bond dimension of 1-4 per edge, their random
+    messages and a Hamiltonian; real tensors and real-valued messages with ``real``."""
+    rng = np.random.default_rng(seed)
+    g = Graph(8, EDGES)
+    chis = {e: int(rng.integers(1, 5)) for e in g.edges}
+    assert {chis[e] for e in g.edges} == {1, 2, 3, 4} or seed != 0
+    pairs = []
+    for p in range(2):
+        tensors = []
+        for v in range(g.n):
+            shape = (2,) + tuple(chis[(min(v, u), max(v, u))] for u in g.neighbors(v))
+            tensors.append(rng.standard_normal(shape) + (0 if real else 1j) * rng.standard_normal(shape))
+        state = TensorNetworkState(g, tensors, 2)
+        msgs = init_messages(state, "random", seed=seed + 10 * p)
+        pairs.append((state, {key: m.real.astype(complex) for key, m in msgs.items()} if real else msgs))
+    h = Hamiltonian(graph=g, edge_terms={e: random_hermitian(rng, 4) for e in g.edges},
+                    vertex_terms={a: random_hermitian(rng, 2) for a in range(g.n)})
+    return pairs, h
+
+
+def assert_same_environment(got, fresh, terms):
+    """Ket layers, gates, site and edge blocks, energies and the gradient agree bit for bit."""
+    arrays = lambda env: [ket for _, ket in env._kets] + [env._gates, env.site_blocks, env.edge_blocks]
+    for a, b in zip(arrays(got), arrays(fresh), strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    (totals, grads), (fresh_totals, fresh_grads) = got.energy(terms, True), fresh.energy(terms, True)
+    assert totals == fresh_totals
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, fresh_grads, strict=True))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_handed_on_environments_equal_fresh_ones(seed, real):
+    """A two-copy environment reached through ``with_stacks`` or ``step``, which hand on what the other input
+    built, computes what one built fresh from the same site tensors and messages computes."""
+    pairs, h = two_copy_inputs(seed, real)
+    env = stacked([Environment(state, msgs) for state, msgs in pairs], ["a: ", "b: "])
+    assert env.msg_stack.dtype == (np.float64 if real else np.complex128)
+    terms = [np.concatenate(arrays) for arrays in zip(*[env.lay.terms(h)] * 2)]
+    _, grads = env.energy(terms, gradient=True)
+    moved = env.with_stacks([s - 0.01 * (gr.real if real else gr) for s, gr in zip(env.stacks, grads)])
+    for got in (moved, env.step(0.3), moved.step(), moved.step().with_stacks(env.stacks)):
+        fresh = stacked([Environment(copy.state, copy.msgs) for copy in got.copies()], ["a: ", "b: "])
+        assert_same_environment(got, fresh, terms)
+
+
+def test_descent_builds_the_message_operands_once(monkeypatch):
+    """Ten gradient steps under one message set dress by the message-side operands of the first."""
+    state, msgs, h = mixed_state(0, 2)
+    calls = []
+    monkeypatch.setattr(sparsetn.env, "_dressing", lambda *args, real=sparsetn.env._dressing: calls.append(1)
+                        or real(*args))
+    env = Environment(state, msgs)
+    terms = env.lay.terms(h)
+    for _ in range(10):
+        _, grads = env.energy(terms, gradient=True)
+        env = env.with_stacks([s - 0.01 * gr for s, gr in zip(env.stacks, grads)])
+    env.energy(terms, gradient=True)
+    assert len(calls) == len(env.lay.groups) == 5
+    env.step().edge_blocks
+    assert len(calls) == 10
+
+
+def test_typing_follows_the_values_of_both_inputs():
+    """Real stacks under complex messages stay complex, and a complex-typed message stack with no imaginary part
+    turns real once the stacks do; either way the result equals a fresh environment of the same values."""
+    g = random_regular(12, 3, seed=1)
+    real_state, complex_state = square_root_state(g, 0.6), random_state(g, 2, seed=3)
+    complex_msgs = init_messages(real_state, "random", seed=2)
+    real_msgs = {key: m.real.astype(complex) for key, m in complex_msgs.items()}
+    real_stacks = [s.real.copy() for s in Environment(real_state, real_msgs).stacks]
+    for msgs, start, kind in [(complex_msgs, complex_state, np.complex128), (real_msgs, complex_state, np.float64)]:
+        env = Environment(start, msgs)
+        assert env.msg_stack.dtype == np.complex128
+        got = env.with_stacks(real_stacks)
+        assert got.msg_stack.dtype == kind and all(s.dtype == kind for s in got.stacks)
+        assert got.edge_rdms().tobytes() == Environment(real_state, msgs).edge_rdms().tobytes()
+        assert got.step().msg_stack.tobytes() == Environment(real_state, msgs).step().msg_stack.tobytes()
+
+
+@pytest.mark.parametrize("kinds", [("complex", "complex"), ("real", "complex"), ("real", "real")])
+def test_copies_share_the_stacks_gates_and_average_as_alone(kinds):
+    """A copy of the stack's dtype reads the stack's gates and edge blocks; a copy whose own values are real is
+    rebuilt real. Either way its site averages are those of a fresh lone environment, bit for bit."""
+    g = random_regular(40, 3, 0)
+    lone = []
+    for p, kind in enumerate(kinds):
+        state = square_root_state(g, 0.6) if kind == "real" else random_state(g, 2, seed=p)
+        msgs = init_messages(state, "random", seed=p)
+        lone.append((state, {key: m.real.astype(complex) for key, m in msgs.items()} if kind == "real" else msgs))
+    env = stacked([Environment(state, msgs) for state, msgs in lone], ["a: ", "b: "])
+    env.edge_rdms()
+    for copy, (state, msgs), kind in zip(env.copies(), lone, kinds, strict=True):
+        shared = kind == "complex" or "complex" not in kinds
+        assert (copy.msg_stack.dtype == env.msg_stack.dtype) == shared
+        for name in ("_gates", "edge_blocks"):
+            assert (name in copy.__dict__ and np.shares_memory(copy.__dict__[name], env.__dict__[name])) == shared
+        assert _site_averages(copy) == _site_averages(Environment(state, msgs))
