@@ -205,7 +205,7 @@ def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0):
         except RuntimeError as err:
             raise RuntimeError(f"BP step {k}: {err}") from err
         msg_delta = float(np.linalg.norm(new.msg_stack - env.msg_stack, axis=(1, 2)).max(initial=0.0))
-        rdm_delta = _trace_distance(prev, cur) if edges else 0.0
+        rdm_delta = _trace_distances(prev[None], cur[None])[0] if edges else 0.0
         env, prev = new, cur
         yield env, rdm_delta, msg_delta
 
@@ -300,11 +300,6 @@ def _restack(envs, ids, prev) -> list:
              None if prev is None else prev[ps]) for ps in kinds.values()]
 
 
-def _trace_distance(m1, m2, screen: float | None = None) -> float:
-    """Half the trace norm of ``m1 - m2``; for stacks of matrices, the largest one (see ``_trace_distances``)."""
-    return _trace_distances(*(np.reshape(m, (1, -1) + np.shape(m)[-2:]) for m in (m1, m2)), screen)[0]
-
-
 def _trace_distances(m1, m2, screen: float | None = None) -> list:
     """Per copy (the first axis of the ``(copies, k, D, D)`` stacks), the largest half trace norm of ``m1 - m2``.
 
@@ -361,7 +356,7 @@ def rdm_trace_distance(r1: Rdm, r2: Rdm) -> float:
         raise ValueError("rdms are defined on different site tuples")
     if r1.matrix.shape != r2.matrix.shape:
         raise ValueError("rdm dimensions do not match")
-    return _trace_distance(r1.matrix, r2.matrix)
+    return _trace_distances(r1.matrix[None, None], r2.matrix[None, None])[0]
 
 
 def site_averaged_observables(state: TensorNetworkState, msgs: dict) -> SiteAverages:

@@ -32,7 +32,8 @@ import numpy as np  # noqa: E402
 from . import bp, graph, hamiltonian, oracles, states, variational  # noqa: E402
 from .tensor import PAULI_X, PAULI_Z  # noqa: E402
 
-# the variational init spec that each --state or --init name but "graph" stands for, from a seed, a beta and a j
+# the variational init spec that each --init name, and bp-run's "product" and "random", stand for, from a seed, a beta
+# and a j; bp-run's "sqrt" is the square-root state that sqrt-sweep converges
 _INIT_SPECS = {"product": lambda seed, beta, j: variational.ProductInit(),
                "sqrt": lambda seed, beta, j: variational.SqrtInit(beta, j),
                "random": lambda seed, beta, j: variational.RandomInit(seed)}
@@ -100,8 +101,8 @@ def cmd_graph_gen(args) -> None:
 
 def cmd_bp_run(args) -> None:
     g = graph.load_graph(args.graph)
-    state = (states.graph_state(g) if args.state == "graph"
-             else _INIT_SPECS[args.state](args.seed, args.beta, args.j).state(g, args.chi, 2))
+    state = (states.graph_state(g) if args.state == "graph" else states.square_root_state(g, args.beta, args.j)
+             if args.state == "sqrt" else _INIT_SPECS[args.state](args.seed, args.beta, args.j).state(g, args.chi, 2))
     cfg = bp.BpConfig(max_steps=args.max_steps, rdm_tolerance=args.tol, damping=args.damping,
                       init=args.init, init_seed=args.seed)
     msgs, diag = bp.run_bp(state, cfg)

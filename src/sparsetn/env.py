@@ -32,10 +32,9 @@ and d = 2, every one) runs as a real matmul, which numpy does several times
 faster than a complex one at these sizes; the rule reads only each matrix's
 shape and dtype, so a stacked copy keeps its lone bits as long as the stack
 holds copies of one kind. Each operand is built on first use, once per value
-of what it reads. ``_incoming`` reads only the messages: per group, the
-gathered incoming messages, pair-merged and in ``_mm``'s form, and the leg-0
-messages; ``with_stacks`` hands it on. ``_rows`` reads only the stacks; ``step``
-hands it on. Each rescans only the input it replaces for an imaginary part.
+of what it reads. ``_incoming`` (per group, the gathered incoming messages, pair-merged and in ``_mm``'s form) and
+``_leg0`` (the leg-0 messages, which BP steps never read) read only the messages; ``with_stacks`` hands both on.
+``_rows`` reads only the stacks; ``step`` hands it on. Each rescans only the input it replaces for an imaginary part.
 ``copies`` hands a copy of the stack's dtype views of its gates and edge blocks.
 Runs on one graph can share an environment as copies, as offsets within the lone graph's layout: copy p's vertex
 ids are shifted by p * n and its directed-edge ids by p * 2m. Each copy's values are exactly those of a lone run,
@@ -270,15 +269,20 @@ class Environment:
 
     @cached_property
     def _incoming(self):
-        """Per group: the ``_dressing`` of its rows by their incoming messages, and the messages in on its leg 0."""
-        return [(_dressing([self.msg_stack[ids] for ids in closed], self.msg_stack.dtype),
-                 self.msg_stack[targets[:len(vs)] ^ 1]) for vs, _, closed, targets in self.lay.groups]
+        """Per group: the ``_dressing`` of its rows by their incoming messages."""
+        return [_dressing([self.msg_stack[ids] for ids in closed], self.msg_stack.dtype) for _, _, closed, _ in
+                self.lay.groups]
+
+    @cached_property
+    def _leg0(self):
+        """Per group: the messages in on its vertices' leg 0, read only by one-site blocks and gradients."""
+        return [self.msg_stack[targets[:len(vs)] ^ 1] for vs, _, _, targets in self.lay.groups]
 
     @cached_property
     def _kets(self):
         """Per group: the conjugated rows and their ket layers (the rows themselves at degree 0)."""
         return [(bra, _absorb(rows, steps, 3) if r else rows)
-                for (_, r, *_), (rows, bra), (steps, _) in zip(self.lay.groups, self._rows, self._incoming)]
+                for (_, r, *_), (rows, bra), steps in zip(self.lay.groups, self._rows, self._incoming)]
 
     @cached_property
     def _gates(self):
@@ -295,7 +299,7 @@ class Environment:
         """(n, d, d) one-site blocks in vertex order: each vertex's leg-0 gate closed with its incoming message."""
         d = self.lay.phys_dim
         blocks = np.empty((len(self.lay.names) * self.lay.graph.n, d, d), dtype=self.msg_stack.dtype)
-        for (vs, r, _, targets), s, (_, leg0) in zip(self.lay.groups, self.stacks, self._incoming):
+        for (vs, r, _, targets), s, leg0 in zip(self.lay.groups, self.stacks, self._leg0):
             blocks[vs] = (np.einsum("kijxy,kxy->kij", self._gates[targets[:len(vs)]], leg0) if r
                           else _close(s, s.conj(), 0))
         return blocks
@@ -322,7 +326,7 @@ class Environment:
     def with_stacks(self, stacks) -> "Environment":
         """Site-tensor stacks under the same messages; a bad tensor raises its copy's ``TensorNetworkState`` error."""
         env = _environment(self.lay, stacks, self.msg_stack, (self._imag[0], _has_imag(stacks)),
-                           _incoming=self._incoming)
+                           _incoming=self._incoming, _leg0=self._leg0)
         if not all(np.isfinite(s).all() and s.reshape(len(s), -1).any(axis=1).all() for s in stacks):
             for name, copy in zip(self.lay.names, env.copies()):
                 try:
@@ -383,7 +387,7 @@ class Environment:
         envs = _mm(ops, self._gates[lay.reverse].reshape(2 * m, d * d, chi * chi))
         envs = envs.reshape(2 * m, d, d, chi, chi).transpose(0, 1, 4, 2, 3).reshape(2 * m, d * chi, d * chi)
         grads = []
-        for (vs, r, _, targets), (_, ket), (_, leg0) in zip(self.lay.groups, self._kets, self._incoming):
+        for (vs, r, _, targets), (_, ket), leg0 in zip(self.lay.groups, self._kets, self._leg0):
             if not r:
                 grads.append((vert_ops[vs] @ ket.reshape(len(vs), d, -1)).reshape(ket.shape))
                 continue

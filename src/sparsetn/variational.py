@@ -15,7 +15,8 @@ gradients. All contractions go through ``sparsetn.env``.
 Within one inner descent loop the fixed-message functional must not increase;
 a rise beyond tolerance aborts with a step-size diagnostic. The true energy
 across outer iterations is not monotone (messages move between loops). Runs on
-one graph under one ``VarConfig`` descend together, as copies in one ``Environment``.
+one graph under one ``VarConfig`` descend together, as copies in one ``Environment``;
+``sweep`` then converges their final states as the copies of one BP stack.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random
 
-from .bp import BpConfig, _pauli_means, _per_chunk, init_messages, run_bp
+from .bp import BpConfig, _pauli_means, _per_chunk, init_messages, run_bp_stacked
 from .env import Environment, stacked
 from .graph import Graph
 from .hamiltonian import Hamiltonian, transverse_field_ising
@@ -197,15 +198,20 @@ def _descend(g: Graph, cfg: VarConfig, jobs) -> list:
                                         f"at inner step {k}; reduce gamma (currently {cfg.gamma})")
             e_prev = e_vals
             env = env.with_stacks([t - cfg.gamma * gr for t, gr in zip(env.stacks, grads)])
-        energies = env.energy(terms)[0]
-        observables = (_pauli_means(env.site_rdms(), env.edge_rdms(), len(jobs))
-                       if env.lay.phys_dim == 2 else [(float("nan"),) * 3] * len(jobs))
-        for trace, e_val, obs in zip(traces, energies, observables):
-            for series, value in zip((trace.energies, trace.mean_abs_z, trace.mean_x, trace.mean_zz), (e_val, *obs)):
+        for trace, values in zip(traces, _read(env, terms)):
+            for series, value in zip((trace.energies, trace.mean_abs_z, trace.mean_x, trace.mean_zz), values):
                 series.append(value)
     for trace, copy in zip(traces, env.copies()):
         trace.final_state, trace.final_messages = copy.state, copy.msgs
     return traces
+
+
+def _read(env: Environment, terms) -> list:
+    """Per copy of ``env``: its energy under ``terms``, then its mean |<Z>|, <X> and <ZZ> (NaN unless qubits)."""
+    energies, copies = env.energy(terms)[0], len(env.lay.names)
+    means = (_pauli_means(env.site_rdms(), env.edge_rdms(), copies) if env.lay.phys_dim == 2
+             else [(float("nan"),) * 3] * copies)
+    return [(e_val, *obs) for e_val, obs in zip(energies, means)]
 
 
 def _derived_seed(base_seed: int, i: int, restart: int) -> int:
@@ -215,15 +221,12 @@ def _derived_seed(base_seed: int, i: int, restart: int) -> int:
 def sweep(g: Graph, hx_values, cfg: VarConfig, restarts: int, base_seed: int = 0, workers: int = 1):
     """Run the variational preparation over a transverse-field grid.
 
-    Each (hx, restart) job perturbs the initial state with its own derived
-    noise seed. The jobs run in ``workers`` contiguous chunks, or more if a
-    chunk would hold over ``bp._CHUNK_ENTRIES`` padded site-tensor entries; each
-    chunk is one stacked descent, and several workers run them in that many
-    processes. A failure names the hx and restart of its job. The points are the
-    same, in the same order, for every ``workers``. Summary observables per job
-    come from running the message iteration to convergence on the final state
-    (warm-started from the final message set), so they do not depend on where
-    the fixed message count left off.
+    Each (hx, restart) job perturbs the initial state with its own derived noise seed. The jobs run in ``workers``
+    contiguous chunks, or more if a chunk would hold over ``bp._CHUNK_ENTRIES`` padded site-tensor entries, and
+    several workers run the chunks in that many processes. A chunk's jobs descend as one stack; then their final
+    states, warm-started from their final messages, run BP to convergence as one ``run_bp_stacked`` stack, so the
+    summary observables do not depend on where the fixed message count left off. A failure names the hx and restart
+    of the first job to fail. The points are the same, in the same order, for every ``workers``.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -242,21 +245,16 @@ def sweep(g: Graph, hx_values, cfg: VarConfig, restarts: int, base_seed: int = 0
 
 
 def _sweep_points(g: Graph, cfg: VarConfig, base_seed: int, jobs) -> list:
-    """The ``SweepPoint`` of each ``(hx, i_hx, restart)`` job, from one stacked descent of them all."""
+    """The ``SweepPoint`` of each ``(hx, i_hx, restart)`` job: one stacked descent of them all, one stacked BP run of
+    their final states to convergence, and one read of the converged copies restacked."""
     seeds = [_derived_seed(base_seed, i, r) for _, i, r in jobs]
     hs = [transverse_field_ising(g, hx) for hx, *_ in jobs]
     names = [f"hx={hx}, restart={r}: " for hx, _, r in jobs]
     traces = _descend(g, cfg, list(zip(hs, seeds, names)))
-    points = []
-    for (hx, _, restart), seed, h, name, trace in zip(jobs, seeds, hs, names, traces):
-        try:
-            _, diag = run_bp(trace.final_state, BpConfig(), msgs=trace.final_messages, exact_deltas=False)
-            env = diag.env
-            (mean_abs_z, mean_x, mean_zz), = _pauli_means(env.site_rdms(), env.edge_rdms())
-            e_val = env.energy(env.lay.terms(h))[0][0]
-        except RuntimeError as exc:
-            raise RuntimeError(f"{name}{exc}") from exc
-        points.append(SweepPoint(hx=hx, restart=restart, noise_seed=seed, trace=trace, mean_abs_z=mean_abs_z,
-                                 mean_x=mean_x, mean_zz=mean_zz, energy=e_val, energy_density=e_val / g.n,
-                                 bp_converged=diag.converged))
-    return points
+    runs = run_bp_stacked([(trace.final_state, trace.final_messages, name) for trace, name in zip(traces, names)],
+                          BpConfig(), exact_deltas=False)
+    # the jobs share their start, so all their copies are real or all complex, and one stack reads each as it ran
+    env = stacked([diag.env for _, diag in runs], names)
+    rows = _read(env, [np.concatenate(arrays) for arrays in zip(*(env.lay.terms(h) for h in hs))])
+    return [SweepPoint(hx, restart, seed, trace, *means, e_val, e_val / g.n, diag.converged)
+            for (hx, _, restart), seed, trace, (_, diag), (e_val, *means) in zip(jobs, seeds, traces, runs, rows)]

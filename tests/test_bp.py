@@ -11,7 +11,7 @@ from sparsetn.bp import (
     _expectations,
     _pauli_means,
     _site_averages,
-    _trace_distance,
+    _trace_distances,
     bp_diagnostics_to_csv,
     bp_iterate,
     bp_step,
@@ -427,11 +427,12 @@ def test_frobenius_norm_bounds_the_trace_distance(d, rank1, rank2, seed):
         shape = (d * d, min(rank, d * d))
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rhos.append(g @ g.conj().T / np.linalg.norm(g) ** 2)
-    t, f = _trace_distance(*rhos), float(np.linalg.norm(rhos[0] - rhos[1]))
+    pair = [rho[None, None] for rho in rhos]  # one copy of one matrix
+    (t,), f = _trace_distances(*pair), float(np.linalg.norm(rhos[0] - rhos[1]))
     assert 0.5 * f * np.sqrt(2) <= t * (1 + 1e-12)
     assert t <= 0.5 * d * f * (1 + 1e-12)
-    assert _trace_distance(*rhos, screen=0.5 * f * (1 - 1e-9)) <= t * (1 + 1e-12)
-    assert _trace_distance(*rhos, screen=0.5 * f * (1 + 1e-9)) == t
+    assert _trace_distances(*pair, screen=0.5 * f * (1 - 1e-9))[0] <= t * (1 + 1e-12)
+    assert _trace_distances(*pair, screen=0.5 * f * (1 + 1e-9)) == [t]
 
 
 @pytest.mark.parametrize("beta", [20.0, 30.0, 300.0, 3000.0])

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from sparsetn.cli import _grid, main
 from sparsetn.graph import graph_from_json, load_graph, random_regular, save_graph
 from sparsetn.hamiltonian import transverse_field_ising
 from sparsetn.oracles import exact_diagonalize
-from sparsetn.states import graph_state, random_state
+from sparsetn.states import graph_state, random_state, square_root_state
 
 
 def read_csv(path):
@@ -101,16 +102,16 @@ class TestBpRun:
         assert {k: obs[k] for k in expected} == expected
 
     @pytest.mark.parametrize("kind,spec", [
-        ("product", variational.ProductInit()),
-        ("sqrt", variational.SqrtInit(beta=0.3, j=1.5)),
-        ("random", variational.RandomInit(seed=5)),
+        ("product", partial(variational.ProductInit().state, chi=3, phys_dim=2)),
+        ("sqrt", partial(square_root_state, beta=0.3, j=1.5)),  # the state sqrt-sweep converges, not the descent's start
+        ("random", partial(variational.RandomInit(seed=5).state, chi=3, phys_dim=2)),
     ])
     def test_states_are_the_library_init_specs(self, tmp_path, graph_file, monkeypatch, kind, spec):
         built, run_bp = [], bp.run_bp
         monkeypatch.setattr(bp, "run_bp", lambda state, cfg: built.append(state) or run_bp(state, cfg))
         assert main(["bp-run", "--graph", graph_file, "--state", kind, "--beta", "0.3", "--j", "1.5", "--chi", "3",
                      "--seed", "5", "--out-dir", str(tmp_path)]) == 0
-        expected = spec.state(load_graph(graph_file), 3, 2)
+        expected = spec(load_graph(graph_file))
         assert built[0].phys_dim == expected.phys_dim == 2
         assert ([(t.shape, t.tobytes()) for t in built[0].site_tensors]
                 == [(t.shape, t.tobytes()) for t in expected.site_tensors])
@@ -120,13 +121,22 @@ class TestBpRun:
         assert main(["bp-run", "--graph", graph_file, "--state", kind, "--beta", "0.6", "--init", "random",
                      "--seed", "3", "--max-steps", "300", "--tol", "1e-9", "--out-dir", str(tmp_path)]) == 0
         g = load_graph(graph_file)
-        state = variational.SqrtInit(beta=0.6).state(g, 2, 2) if kind == "sqrt" else graph_state(g)
+        state = square_root_state(g, 0.6) if kind == "sqrt" else graph_state(g)
         rows = read_csv(tmp_path / "bp_diagnostics.csv")
         assert len(rows) > 2
         for row, (rdm_delta, msg_delta) in zip(rows, ref.run_bp_deltas(state, bp.init_messages(state, "random", 3),
                                                                         len(rows)), strict=True):
             assert abs(float(row["max_rdm_trace_distance"]) - rdm_delta) <= 1e-12
             assert abs(float(row["max_message_delta"]) - msg_delta) <= 1e-12
+
+    def test_sqrt_state_converges_at_large_beta(self, tmp_path):
+        """The square-root state's edge weights are scaled to a largest entry of 1, so no beta overflows its BP."""
+        gpath = tmp_path / "g40.json"
+        save_graph(random_regular(40, 3, seed=3), gpath)
+        assert main(["bp-run", "--graph", str(gpath), "--state", "sqrt", "--beta", "300",
+                     "--out-dir", str(tmp_path)]) == 0
+        obs = json.loads((tmp_path / "bp_observables.json").read_text())
+        assert obs["converged"] and obs["edge_zz"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGraphstateCheck:
@@ -360,14 +370,41 @@ class TestTfimSweep:
         assert {r["bp_converged"] for r in read_csv(tmp_path / "tfim_sweep.csv")} <= {"0", "1"}
 
     def test_summary_failure_names_its_job(self, tmp_path, graph_file, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise RuntimeError("BP step 1: message is not positive semidefinite")
+        descend = variational._descend
 
-        monkeypatch.setattr(variational, "run_bp", fail)
+        def dead_first_job(*args):
+            traces = descend(*args)
+            traces[0].final_messages = {key: np.zeros_like(m) for key, m in traces[0].final_messages.items()}
+            return traces
+
+        monkeypatch.setattr(variational, "_descend", dead_first_job)
         code = main(["tfim-sweep", "--graph", graph_file, "--hx-grid", "1.0,3.0", "--t-var", "1",
                      "--out-dir", str(tmp_path)])
         assert code == 3
-        assert "numerical failure: hx=1.0, restart=0: BP step 1: message" in capsys.readouterr().err
+        u = min(load_graph(graph_file).neighbors(0))
+        assert capsys.readouterr().err == (f"numerical failure: hx=1.0, restart=0: BP step 1: message 0->{u} lost "
+                                           f"positivity (trace=0.0)\n")
+        assert not (tmp_path / "tfim_sweep.csv").exists()
+
+    @pytest.mark.parametrize("noise,dtype", [("0.01", np.complex128), ("0", np.float64)], ids=["noisy", "real"])
+    def test_one_job_per_stack_is_byte_identical(self, tmp_path, graph_file, monkeypatch, noise, dtype):
+        """With room for one copy per stack, every job descends and converges alone and no output bit moves; a
+        noiseless product start descends and converges in real stacks."""
+        args = ["tfim-sweep", "--graph", graph_file, "--hx-grid", "1.0,3.0", "--restarts", "2", "--t-var", "5",
+                "--init-noise", noise]
+        descents, converged, kinds = [], [], set()
+        descend, converge, read = variational._descend, bp._converge, variational._read
+        monkeypatch.setattr(variational, "_descend", lambda g, cfg, jobs: descents.append(len(jobs))
+                            or descend(g, cfg, jobs))
+        monkeypatch.setattr(bp, "_converge", lambda runs, *rest: converged.append(len(runs)) or converge(runs, *rest))
+        monkeypatch.setattr(variational, "_read", lambda env, terms: kinds.add(env.msg_stack.dtype) or read(env, terms))
+        assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(bp, "_CHUNK_ENTRIES", 1)
+        assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
+        assert descents == converged == [4, 1, 1, 1, 1]
+        assert kinds == {np.dtype(dtype)}
+        for name in ("tfim_sweep.csv", "tfim_sweep_trace.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_threads_preserve_output(self, tmp_path):
         gpath = tmp_path / "g6.json"

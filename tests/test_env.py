@@ -549,3 +549,15 @@ def test_copies_share_the_stacks_gates_and_average_as_alone(kinds):
         for name in ("_gates", "edge_blocks"):
             assert (name in copy.__dict__ and np.shares_memory(copy.__dict__[name], env.__dict__[name])) == shared
         assert _site_averages(copy) == _site_averages(Environment(state, msgs))
+
+
+def test_bp_steps_gather_no_leg0_messages():
+    """A BP step's gates and edge blocks read no leg-0 message; the descent's ``with_stacks`` hands them on."""
+    state, msgs, h = mixed_state(0, 2)
+    env = Environment(state, msgs).step()
+    env.edge_rdms()
+    assert "_leg0" not in env.__dict__
+    moved = env.with_stacks([s.copy() for s in env.stacks])
+    assert moved.__dict__["_leg0"] is env.__dict__["_leg0"]
+    moved.energy(env.lay.terms(h), gradient=True)
+    assert moved._leg0 is env._leg0

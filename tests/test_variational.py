@@ -305,13 +305,23 @@ class TestSweep:
         assert [job for c in chunks for job in c] == [(hx, i, r) for i, hx in enumerate(hxs) for r in range(restarts)]
 
     def test_summary_failure_names_its_job(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise RuntimeError("BP step 2: boom")
+        """BP on the final states fails in a job whose final messages are dead; of two failing in the same step, the
+        lower index is named."""
+        g, descend = random_regular(6, 3, seed=5), variational._descend
 
-        monkeypatch.setattr(variational, "run_bp", fail)
-        g = random_regular(6, 3, seed=5)
-        with pytest.raises(RuntimeError, match=r"^hx=0\.5, restart=0: BP step 2: boom$"):
-            sweep(g, [0.5, 1.5], VarConfig(t_var=1, chi=1), restarts=2)
+        def dead_jobs(ids):
+            def run(*args):
+                traces = descend(*args)
+                for i in ids:
+                    traces[i].final_messages = {key: np.zeros_like(m) for key, m in traces[i].final_messages.items()}
+                return traces
+            return run
+
+        for ids, named in [([0], "hx=0.5, restart=0"), ([3, 1], "hx=0.5, restart=1")]:
+            monkeypatch.setattr(variational, "_descend", dead_jobs(ids))
+            with pytest.raises(RuntimeError) as err:
+                sweep(g, [0.5, 1.5], VarConfig(t_var=1, chi=1), restarts=2)
+            assert str(err.value) == f"{named}: BP step 1: message 0->{min(g.neighbors(0))} lost positivity (trace=0.0)"
 
     @pytest.mark.parametrize("chi", [1, 2])
     def test_stacked_jobs_equal_lone_runs(self, chi):
