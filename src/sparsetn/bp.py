@@ -2,11 +2,13 @@
 
 Messages live on directed edges: ``m[(a, b)]`` is a chi x chi Hermitian
 positive-semidefinite matrix with unit trace, indexed ``m[x, x']`` where ``x``
-is the ket-layer bond index and ``x'`` the bra-layer one. A synchronous step
-recomputes every outgoing message of every vertex from the incoming message
-set, Hermitizes, normalizes to unit trace, and optionally mixes in the old
-message (damping). Unit-trace normalization fixes the scale gauge of the
-messages and keeps large graphs free of over/underflow.
+is the ket-layer bond index and ``x'`` the bra-layer one. Message sets come out
+as ``sparsetn.env.Messages``, a read-only mapping over the environments' own
+(2m, chi, chi) message array, and go in as one or as a plain dict. A
+synchronous step recomputes every outgoing message of every vertex from the
+incoming message set, Hermitizes, normalizes to unit trace, and optionally
+mixes in the old message (damping). Unit-trace normalization fixes the scale
+gauge of the messages and keeps large graphs free of over/underflow.
 
 Convergence is judged on two-site reduced density matrices, not on raw
 messages: message entries can settle into a limit cycle while all local
@@ -31,7 +33,7 @@ from itertools import count
 import numpy as np
 import numpy.random
 
-from .env import RDM_ERROR, Environment, site_gate, stacked, unit_trace
+from .env import RDM_ERROR, Environment, Messages, site_gate, stacked, unit_trace
 from .states import TensorNetworkState
 from .tensor import PAULI_X, PAULI_Y, PAULI_Z, tensor_from_json, tensor_to_json
 
@@ -63,6 +65,8 @@ _ZZ = np.kron(PAULI_Z, PAULI_Z)
 
 @dataclass
 class BpConfig:
+    """BP settings; ``workers`` is recorded only, and nothing reads it."""
+
     max_steps: int = 100
     rdm_tolerance: float = 1e-8
     damping: float = 0.0
@@ -112,39 +116,41 @@ class SiteAverages:
     edge_zz: float
 
 
-def init_messages(state: TensorNetworkState, init: str = "identity", seed: int = 0) -> dict:
+def init_messages(state: TensorNetworkState, init: str = "identity", seed: int = 0) -> Messages:
     """One PSD unit-trace matrix per directed edge.
 
     ``identity`` gives I/chi; ``random`` gives a seeded Gram matrix
     G^dagger G / tr(G^dagger G) of a complex Gaussian G. One
     ``standard_normal`` call draws every edge's entries in edge order (its
     real chi x chi block, then its imaginary one, as a draw per edge would),
-    and the Gram matrices of each bond dimension are one batched matmul.
+    and the Gram matrices of each bond dimension are one batched matmul,
+    written straight into the message stack.
     """
     if init not in ("identity", "random"):
         raise ValueError("init must be 'identity' or 'random'")
-    edges = state.graph.directed_edges
-    chis = [state.bond_dim(a, b) for a, b in edges]
-    if init == "identity":
-        return {e: np.eye(chi, dtype=complex) / chi for e, chi in zip(edges, chis)}
-    sizes = [2 * chi * chi for chi in chis]
-    z = np.split(np.random.default_rng(seed).standard_normal(sum(sizes)), np.cumsum(sizes)[:-1])
-    msgs = {}
-    for chi in set(chis):
-        idx = [i for i, c in enumerate(chis) if c == chi]
-        gmat = np.array([z[i] for i in idx]).reshape(-1, 2, chi, chi)
+    chis = np.repeat(np.array([state.bond_dims[e] for e in state.graph.edges], dtype=int), 2)
+    stack = np.zeros((len(chis),) + (chis.max(initial=1),) * 2, dtype=complex)
+    sizes = 2 * chis * chis
+    starts = np.cumsum(sizes) - sizes
+    z = np.random.default_rng(seed).standard_normal(sizes.sum()) if init == "random" else None
+    for chi in set(chis.tolist()):
+        idx = np.flatnonzero(chis == chi)
+        if z is None:
+            stack[idx[:, None], np.arange(chi), np.arange(chi)] = 1.0 / chi
+            continue
+        gmat = z[starts[idx, None] + np.arange(2 * chi * chi)].reshape(-1, 2, chi, chi)
         gmat = gmat[:, 0] + 1j * gmat[:, 1]
         m = gmat.conj().transpose(0, 2, 1) @ gmat
-        msgs.update(zip(idx, m / np.trace(m, axis1=1, axis2=2).real[:, None, None]))
-    return {e: msgs[i] for i, e in enumerate(edges)}
+        stack[idx, :chi, :chi] = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return Messages(state.graph, chis.tolist(), stack)
 
 
-def bp_step(state: TensorNetworkState, msgs: dict, damping: float = 0.0) -> dict:
+def bp_step(state: TensorNetworkState, msgs: Messages | dict, damping: float = 0.0) -> Messages:
     """One synchronous update: all new messages computed from the input set."""
     return Environment(state, msgs).step(damping).msgs
 
 
-def rdm(state: TensorNetworkState, msgs: dict, sites) -> Rdm:
+def rdm(state: TensorNetworkState, msgs: Messages | dict, sites) -> Rdm:
     """Reduced density matrix on 1-3 sites forming a connected path.
 
     Site tensors and their conjugates on ``sites`` are contracted exactly over
@@ -184,7 +190,7 @@ def rdm(state: TensorNetworkState, msgs: dict, sites) -> Rdm:
     return Rdm(sites=sites, matrix=unit_trace(mat[None], [(sites,)], RDM_ERROR)[0])
 
 
-def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0):
+def bp_iterate(state: TensorNetworkState, msgs: Messages | dict, damping: float = 0.0):
     """Synchronous steps from ``msgs``, without end.
 
     Yields ``(env, rdm_delta, message_delta)`` after every step: the
@@ -210,7 +216,8 @@ def bp_iterate(state: TensorNetworkState, msgs: dict, damping: float = 0.0):
         yield env, rdm_delta, msg_delta
 
 
-def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: dict | None = None, *, exact_deltas=True):
+def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: Messages | dict | None = None, *,
+           exact_deltas=True):
     """Iterate synchronous BP until two-site RDMs are stationary in trace distance.
 
     Returns ``(messages, diagnostics)``; ``diagnostics.env`` is the
@@ -359,7 +366,7 @@ def rdm_trace_distance(r1: Rdm, r2: Rdm) -> float:
     return _trace_distances(r1.matrix[None, None], r2.matrix[None, None])[0]
 
 
-def site_averaged_observables(state: TensorNetworkState, msgs: dict) -> SiteAverages:
+def site_averaged_observables(state: TensorNetworkState, msgs: Messages | dict) -> SiteAverages:
     """Arithmetic means of single-site Pauli expectations and edge quantities."""
     return _site_averages(Environment(state, msgs))
 
@@ -382,7 +389,7 @@ def _pauli_means(sites, edges, copies: int = 1) -> list:
     return list(zip(np.abs(z).mean(1).tolist(), x.mean(1).tolist(), zz.tolist()))
 
 
-def messages_to_json(msgs: dict) -> dict:
+def messages_to_json(msgs: Messages | dict) -> dict:
     return {f"{a}->{b}": tensor_to_json(m) for (a, b), m in sorted(msgs.items())}
 
 
@@ -402,7 +409,7 @@ def bp_diagnostics_to_csv(diag: BpDiagnostics, path) -> None:
             writer.writerow([i, repr(rd), repr(md)])
 
 
-def save_messages(msgs: dict, path) -> None:
+def save_messages(msgs: Messages | dict, path) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(messages_to_json(msgs)))
         fh.write("\n")

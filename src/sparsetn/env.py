@@ -25,13 +25,14 @@ when no site tensor and no message of any copy has an imaginary part, else in
 complex128; every way to build one (``Environment``, ``step``, ``with_stacks``,
 ``stacked``, ``copies``) decides from the values, so BP on a real state turns
 real at the first step whose messages are real. The states and messages it
-hands out (``state``, ``msgs``) stay complex128. Every product of the layer
-follows ``_mm``: a real one is a plain matmul, and a complex one whose
-right-hand matrices have at most 16 entries (on a 3-regular graph at chi = 2
-and d = 2, every one) runs as a real matmul, which numpy does several times
-faster than a complex one at these sizes; the rule reads only each matrix's
-shape and dtype, so a stacked copy keeps its lone bits as long as the stack
-holds copies of one kind. Each operand is built on first use, once per value
+hands out (``state``, ``msgs``) stay complex128; ``msgs`` is a ``Messages`` on
+the message stack itself where that is complex, as one on the state's bonds
+comes in. Every product of the layer follows ``_mm``: a real one is a plain
+matmul, and a complex one whose right-hand matrices have at most 16 entries (on
+a 3-regular graph at chi = 2 and d = 2, every one) runs as a real matmul, which
+numpy does several times faster than a complex one at these sizes; the rule
+reads only each matrix's shape and dtype, so a stacked copy keeps its lone bits
+as long as the stack holds copies of one kind. Each operand is built on first use, once per value
 of what it reads. ``_incoming`` (per group, the gathered incoming messages, pair-merged and in ``_mm``'s form) and
 ``_leg0`` (the leg-0 messages, which BP steps never read) read only the messages; ``with_stacks`` hands both on.
 ``_rows`` reads only the stacks; ``step`` hands it on. Each rescans only the input it replaces for an imaginary part.
@@ -44,13 +45,14 @@ energies are summed per copy, and errors name the copy and use its own ids.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .states import TensorNetworkState
 
-__all__ = ["Environment", "site_gate", "stacked", "unit_trace"]
+__all__ = ["Environment", "Messages", "site_gate", "stacked", "unit_trace"]
 
 RDM_ERROR = "reduced density matrix on {} has non-positive trace {tr}"
 
@@ -189,7 +191,6 @@ class _Layout:
         self.chis = [shapes[a][1 + graph.leg(a, b)] for a, b in de]
         self.chi = max(self.chis, default=1)
         self.eyes = np.outer(np.eye(self.phys_dim), np.eye(self.phys_dim)), np.eye(self.phys_dim)
-        self.order = sorted(range(len(de)), key=de.__getitem__)
         self.reverse = np.arange(2 * len(graph.edges) * copies) ^ 1  # each directed edge's reverse
         by_degree = {}
         for v in range(graph.n):
@@ -233,17 +234,51 @@ class _Layout:
 _layout = lru_cache(maxsize=16)(_Layout)
 
 
+class Messages(Mapping):
+    """A message set as a read-only mapping: ``msgs[(a, b)]`` is a read-only view of the leading chi_ab x chi_ab
+    block of row ``graph.directed_edge_index(a, b)`` of ``stack``, the (2m, chi, chi) complex128 messages indexed by
+    directed edge and zero outside those blocks, with chi_ab from ``chis`` and chi their largest. Iteration walks
+    ``graph.adjacency``: the directed edges in sorted order."""
+
+    def __init__(self, graph, chis: list, stack):
+        self.graph, self.chis, self.stack = graph, chis, stack
+
+    def __getitem__(self, edge):
+        k = self.graph.directed_edge_index(*edge)
+        block = self.stack[k, :self.chis[k], :self.chis[k]]
+        block.flags.writeable = False
+        return block
+
+    def __iter__(self):
+        return ((a, b) for a, nbrs in enumerate(self.graph.adjacency) for b in nbrs)
+
+    def __len__(self) -> int:
+        return len(self.stack)
+
+
+def _message_stack(lay, msgs):
+    """The (2m, chi, chi) stack of ``msgs`` in the layout ``lay``: a ``Messages`` on its graph and bond dimensions is
+    taken as it is; any other mapping is checked edge by edge and zero-padded."""
+    if isinstance(msgs, Messages) and msgs.chis == lay.chis and msgs.graph == lay.graph:
+        return msgs.stack
+    arrays = [msgs.get(e) for e in lay.graph.directed_edges]
+    for (a, b), chi, m in zip(lay.graph.directed_edges, lay.chis, arrays):
+        if np.shape(m) != (chi, chi):
+            raise ValueError(f"no message on directed edge {a}->{b}" if m is None else
+                             f"message {a}->{b} has shape {np.shape(m)} but its bond dimension is {chi}")
+    return _pad(arrays, (lay.chi, lay.chi))
+
+
 class Environment:
     """Ket layers, gates and the quantities derived from them for one (state, messages) pair, or one per copy.
 
     ``step`` and ``with_stacks`` derive the next environment from the stacks.
     """
 
-    def __init__(self, state: TensorNetworkState, msgs: dict):
+    def __init__(self, state: TensorNetworkState, msgs: Messages | dict):
         lay = _layout(state.graph, tuple(t.shape for t in state.site_tensors), ("",))
-        msg_stack = _pad([msgs[e] for e in lay.graph.directed_edges], (lay.chi, lay.chi))
-        self.__dict__.update(_environment(lay, lay.stack(state.site_tensors), msg_stack).__dict__)
-        self.state, self.msgs = state, msgs
+        self.__dict__.update(_environment(lay, lay.stack(state.site_tensors), _message_stack(lay, msgs)).__dict__)
+        self.state = state
 
     @cached_property
     def state(self) -> TensorNetworkState:
@@ -253,12 +288,12 @@ class Environment:
         return TensorNetworkState(self.lay.graph, self.lay.unstack(self.stacks), self.lay.phys_dim)
 
     @cached_property
-    def msgs(self) -> dict:
-        """The lone copy's messages; the copies of a stacked environment are read through ``copies``."""
+    def msgs(self) -> Messages:
+        """The lone copy's messages, on its message stack where that is complex; the copies of a stacked environment
+        are read through ``copies``."""
         if len(self.lay.names) > 1:
             raise ValueError(f"a stack of {len(self.lay.names)} copies has no one message set; read each via copies()")
-        de, chis, msg_stack = self.lay.graph.directed_edges, self.lay.chis, self.msg_stack.astype(complex, copy=False)
-        return {de[k]: msg_stack[k, :chis[k], :chis[k]] for k in self.lay.order}
+        return Messages(self.lay.graph, self.lay.chis, self.msg_stack.astype(complex, copy=False))
 
     @cached_property
     def _rows(self):

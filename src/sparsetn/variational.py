@@ -27,7 +27,7 @@ import numpy as np
 import numpy.random
 
 from .bp import BpConfig, _pauli_means, _per_chunk, init_messages, run_bp_stacked
-from .env import Environment, stacked
+from .env import Environment, Messages, stacked
 from .graph import Graph
 from .hamiltonian import Hamiltonian, transverse_field_ising
 from .states import TensorNetworkState, copy_tensors, product_state, random_state
@@ -122,7 +122,7 @@ class VarTrace:
     mean_x: list = field(default_factory=list)
     mean_zz: list = field(default_factory=list)
     final_state: TensorNetworkState | None = None
-    final_messages: dict | None = None
+    final_messages: Messages | None = None
 
 
 @dataclass
@@ -139,13 +139,13 @@ class SweepPoint:
     bp_converged: bool
 
 
-def energy(state: TensorNetworkState, msgs: dict, h: Hamiltonian) -> float:
+def energy(state: TensorNetworkState, msgs: Messages | dict, h: Hamiltonian) -> float:
     """Sum of normalized local term expectations under the given messages."""
     env = Environment(state, msgs)
     return env.energy(env.lay.terms(h))[0][0]
 
 
-def energy_gradient(state: TensorNetworkState, msgs: dict, h: Hamiltonian):
+def energy_gradient(state: TensorNetworkState, msgs: Messages | dict, h: Hamiltonian):
     """Gradient of the fixed-message energy with respect to conjugated site tensors."""
     env = Environment(state, msgs)
     return env.lay.unstack(env.energy(env.lay.terms(h), gradient=True)[1])

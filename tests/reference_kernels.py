@@ -4,7 +4,8 @@ These are the package's original message, reduced-density-matrix, energy and
 gradient kernels, kept verbatim in logic: every quantity is one labelled
 ``np.einsum`` (or a labelled ``tensordot`` loop) over the site tensors and
 messages, with no shared intermediate. ``test_env`` checks the shared
-dressed-site-tensor layer against them.
+dressed-site-tensor layer against them. ``init_messages`` is the dict-building
+message initialization that ``test_messages`` pins the message stack to.
 
 ``term_list_matrix`` and ``hamiltonian_matrix`` build a Hamiltonian as a scipy
 CSR matrix from the same flip-grouped nonzeros that ``oracles`` applies
@@ -28,6 +29,24 @@ def term_list_matrix(terms, n) -> scipy.sparse.csr_matrix:
 
 def hamiltonian_matrix(h) -> scipy.sparse.csr_matrix:
     return term_list_matrix(hamiltonian_terms(h), h.graph.n)
+
+
+def init_messages(state, init="identity", seed=0):
+    """One PSD unit-trace matrix per directed edge, in a dict keyed by directed edge in directed-edge order."""
+    edges = state.graph.directed_edges
+    chis = [state.bond_dim(a, b) for a, b in edges]
+    if init == "identity":
+        return {e: np.eye(chi, dtype=complex) / chi for e, chi in zip(edges, chis)}
+    sizes = [2 * chi * chi for chi in chis]
+    z = np.split(np.random.default_rng(seed).standard_normal(sum(sizes)), np.cumsum(sizes)[:-1])
+    msgs = {}
+    for chi in set(chis):
+        idx = [i for i, c in enumerate(chis) if c == chi]
+        gmat = np.array([z[i] for i in idx]).reshape(-1, 2, chi, chi)
+        gmat = gmat[:, 0] + 1j * gmat[:, 1]
+        m = gmat.conj().transpose(0, 2, 1) @ gmat
+        msgs.update(zip(idx, m / np.trace(m, axis1=1, axis2=2).real[:, None, None]))
+    return {e: msgs[i] for i, e in enumerate(edges)}
 
 
 def raw_out_message(t, in_msgs, skip):

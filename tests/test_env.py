@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 import sparsetn.env
-from sparsetn.bp import _site_averages, bp_iterate, bp_step, init_messages, rdm
+from sparsetn.bp import BpConfig, _site_averages, bp_iterate, bp_step, init_messages, rdm, run_bp
 from sparsetn.env import Environment, stacked
 from sparsetn.graph import Graph, grid_graph, random_regular
 from sparsetn.hamiltonian import Hamiltonian
@@ -209,6 +209,20 @@ def test_failures_name_the_message_or_sites():
         bp_step(state, dead)
     with pytest.raises(RuntimeError, match=r"^reduced density matrix on \(2, 3\) has non-positive trace 0\.0$"):
         rdm(state, dead, (2, 3))
+
+
+def test_messages_must_fit_their_bonds():
+    """A message of another bond dimension than its bond's, or a missing one, raises naming the directed edge."""
+    g = random_regular(8, 3, seed=1)
+    (a, b), small, large = g.directed_edges[0], random_state(g, 2, seed=1), random_state(g, 3, seed=1)
+    with pytest.raises(ValueError, match=rf"^message {a}->{b} has shape \(2, 2\) but its bond dimension is 3$"):
+        run_bp(large, BpConfig(max_steps=5), msgs=init_messages(small))
+    with pytest.raises(ValueError, match=rf"^message {a}->{b} has shape \(3, 3\) but its bond dimension is 2$"):
+        Environment(small, dict(init_messages(large)))
+    missing = dict(init_messages(small))
+    del missing[b, a]
+    with pytest.raises(ValueError, match=rf"^no message on directed edge {b}->{a}$"):
+        bp_step(small, missing)
 
 
 # Groups of many vertices: a random 3-regular graph is one group per bond
