@@ -123,8 +123,7 @@ def init_messages(state: TensorNetworkState, init: str = "identity", seed: int =
     G^dagger G / tr(G^dagger G) of a complex Gaussian G. One
     ``standard_normal`` call draws every edge's entries in edge order (its
     real chi x chi block, then its imaginary one, as a draw per edge would),
-    and the Gram matrices of each bond dimension are one batched matmul,
-    written straight into the message stack.
+    and the Gram matrices of each bond dimension are one batched matmul.
     """
     if init not in ("identity", "random"):
         raise ValueError("init must be 'identity' or 'random'")
@@ -216,8 +215,7 @@ def bp_iterate(state: TensorNetworkState, msgs: Messages | dict, damping: float 
         yield env, rdm_delta, msg_delta
 
 
-def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: Messages | dict | None = None, *,
-           exact_deltas=True):
+def run_bp(state: TensorNetworkState, cfg: BpConfig | None = None, msgs: Messages | None = None, *, exact_deltas=True):
     """Iterate synchronous BP until two-site RDMs are stationary in trace distance.
 
     Returns ``(messages, diagnostics)``; ``diagnostics.env`` is the

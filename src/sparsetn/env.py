@@ -25,14 +25,13 @@ when no site tensor and no message of any copy has an imaginary part, else in
 complex128; every way to build one (``Environment``, ``step``, ``with_stacks``,
 ``stacked``, ``copies``) decides from the values, so BP on a real state turns
 real at the first step whose messages are real. The states and messages it
-hands out (``state``, ``msgs``) stay complex128; ``msgs`` is a ``Messages`` on
-the message stack itself where that is complex, as one on the state's bonds
-comes in. Every product of the layer follows ``_mm``: a real one is a plain
-matmul, and a complex one whose right-hand matrices have at most 16 entries (on
-a 3-regular graph at chi = 2 and d = 2, every one) runs as a real matmul, which
-numpy does several times faster than a complex one at these sizes; the rule
-reads only each matrix's shape and dtype, so a stacked copy keeps its lone bits
-as long as the stack holds copies of one kind. Each operand is built on first use, once per value
+hands out (``state``, ``msgs``) stay complex128. Every product of the layer
+follows ``_mm``: a real one is a plain matmul, and a complex one whose
+right-hand matrices have at most 16 entries (on a 3-regular graph at chi = 2
+and d = 2, every one) runs as a real matmul, which numpy does several times
+faster than a complex one at these sizes; the rule reads only each matrix's
+shape and dtype, so a stacked copy keeps its lone bits as long as the stack
+holds copies of one kind. Each operand is built on first use, once per value
 of what it reads. ``_incoming`` (per group, the gathered incoming messages, pair-merged and in ``_mm``'s form) and
 ``_leg0`` (the leg-0 messages, which BP steps never read) read only the messages; ``with_stacks`` hands both on.
 ``_rows`` reads only the stacks; ``step`` hands it on. Each rescans only the input it replaces for an imaginary part.
@@ -190,6 +189,8 @@ class _Layout:
         self.graph, self.shapes, self.names, self.phys_dim = graph, shapes, names, shapes[0][0]
         self.chis = [shapes[a][1 + graph.leg(a, b)] for a, b in de]
         self.chi = max(self.chis, default=1)
+        outside = np.arange(self.chi) >= np.array(self.chis, dtype=int)[:, None]
+        self.padding = outside[:, :, None] | outside[:, None, :]  # each message's entries outside its bond's block
         self.eyes = np.outer(np.eye(self.phys_dim), np.eye(self.phys_dim)), np.eye(self.phys_dim)
         self.reverse = np.arange(2 * len(graph.edges) * copies) ^ 1  # each directed edge's reverse
         by_degree = {}
@@ -235,19 +236,18 @@ _layout = lru_cache(maxsize=16)(_Layout)
 
 
 class Messages(Mapping):
-    """A message set as a read-only mapping: ``msgs[(a, b)]`` is a read-only view of the leading chi_ab x chi_ab
-    block of row ``graph.directed_edge_index(a, b)`` of ``stack``, the (2m, chi, chi) complex128 messages indexed by
-    directed edge and zero outside those blocks, with chi_ab from ``chis`` and chi their largest. Iteration walks
-    ``graph.adjacency``: the directed edges in sorted order."""
+    """A message set as a read-only mapping: ``msgs[(a, b)]`` is the leading chi_ab x chi_ab block of row
+    ``graph.directed_edge_index(a, b)`` of ``stack``, a read-only view of the (2m, chi, chi) complex128 messages indexed
+    by directed edge and zero outside those blocks, with chi_ab from ``chis`` and chi their largest. Iteration walks
+    ``graph.adjacency``: the directed edges in sorted order. ``init_messages`` and ``Environment.msgs`` make them."""
 
     def __init__(self, graph, chis: list, stack):
-        self.graph, self.chis, self.stack = graph, chis, stack
+        self.graph, self.chis, self.stack = graph, chis, stack.view()
+        self.stack.flags.writeable = False
 
     def __getitem__(self, edge):
         k = self.graph.directed_edge_index(*edge)
-        block = self.stack[k, :self.chis[k], :self.chis[k]]
-        block.flags.writeable = False
-        return block
+        return self.stack[k, :self.chis[k], :self.chis[k]]
 
     def __iter__(self):
         return ((a, b) for a, nbrs in enumerate(self.graph.adjacency) for b in nbrs)
@@ -255,11 +255,15 @@ class Messages(Mapping):
     def __len__(self) -> int:
         return len(self.stack)
 
+    def __reduce__(self):
+        return Messages, (self.graph, self.chis, self.stack)
+
 
 def _message_stack(lay, msgs):
-    """The (2m, chi, chi) stack of ``msgs`` in the layout ``lay``: a ``Messages`` on its graph and bond dimensions is
-    taken as it is; any other mapping is checked edge by edge and zero-padded."""
-    if isinstance(msgs, Messages) and msgs.chis == lay.chis and msgs.graph == lay.graph:
+    """The (2m, chi, chi) stack of ``msgs`` in ``lay``: a ``Messages`` on its graph and bonds, in its stack's form
+    (complex128, zero outside the blocks), is taken uncopied; any other mapping is checked edge by edge and padded."""
+    if (isinstance(msgs, Messages) and msgs.chis == lay.chis and msgs.graph == lay.graph and msgs.stack.dtype == complex
+            and msgs.stack.shape == lay.padding.shape and not msgs.stack[lay.padding].any()):
         return msgs.stack
     arrays = [msgs.get(e) for e in lay.graph.directed_edges]
     for (a, b), chi, m in zip(lay.graph.directed_edges, lay.chis, arrays):
@@ -289,8 +293,7 @@ class Environment:
 
     @cached_property
     def msgs(self) -> Messages:
-        """The lone copy's messages, on its message stack where that is complex; the copies of a stacked environment
-        are read through ``copies``."""
+        """The lone copy's messages, on its message stack where that is complex; copies are read through ``copies``."""
         if len(self.lay.names) > 1:
             raise ValueError(f"a stack of {len(self.lay.names)} copies has no one message set; read each via copies()")
         return Messages(self.lay.graph, self.lay.chis, self.msg_stack.astype(complex, copy=False))

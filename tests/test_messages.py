@@ -58,7 +58,8 @@ def test_environment_messages_are_read_only_views_of_its_stack():
     g, env = state.graph, Environment(state, init_messages(state, "random", 2)).step()
     msgs = env.msgs
     assert env.msg_stack.dtype == np.complex128
-    assert msgs.stack is env.msg_stack and all(np.shares_memory(m, env.msg_stack) for m in msgs.values())
+    assert all(np.shares_memory(m, env.msg_stack) for m in [msgs.stack, *msgs.values()])
+    assert env.msg_stack.flags.writeable and not msgs.stack.flags.writeable
     assert len(msgs) == 2 * len(g.edges) == len(list(msgs))
     assert list(msgs) == sorted(g.directed_edges)
     # the parent's unpack: one view per directed edge, in sorted order
@@ -89,7 +90,8 @@ def test_pickle_round_trip_keeps_the_messages_and_their_stack():
     back = pickle.loads(pickle.dumps(msgs))
     assert isinstance(back, Messages) and list(back) == list(msgs)
     assert all(back[e].tobytes() == m.tobytes() for e, m in msgs.items())
-    assert Environment(state, back).msg_stack is back.stack  # an equal graph, not the same object
+    assert not back.stack.flags.writeable
+    assert np.shares_memory(Environment(state, back).msg_stack, back.stack)  # an equal graph, not the same object
 
 
 def test_a_complex_message_set_enters_an_environment_as_it_is():
@@ -99,8 +101,28 @@ def test_a_complex_message_set_enters_an_environment_as_it_is():
     state = real.with_site_tensors([t + 0.5j for t in real.site_tensors])
     msgs = init_messages(state, "random", 0)
     env = Environment(state, msgs)
-    assert env.msg_stack is msgs.stack
+    assert np.shares_memory(env.msg_stack, msgs.stack)
     assert Environment(state, dict(msgs)).msg_stack.tobytes() == msgs.stack.tobytes()
+
+
+def test_a_message_set_off_the_layout_is_read_edge_by_edge():
+    """A hand-built ``Messages`` whose stack has another dtype or shape than the state's bonds give, or nonzero entries
+    outside the bonds' blocks, is checked and padded as a plain dict is, not taken as the environment's stack."""
+    state = random_state(random_regular(8, 3, seed=1), 3, seed=1)
+    msgs = init_messages(state, "random", 0)
+    as_real = Messages(state.graph, msgs.chis, np.ascontiguousarray(msgs.stack.real))
+    env = Environment(state, as_real)
+    assert not np.shares_memory(env.msg_stack, as_real.stack)
+    assert env.msg_stack.tobytes() == Environment(state, dict(as_real)).msg_stack.tobytes()
+    a, b = state.graph.directed_edges[0]
+    with pytest.raises(ValueError, match=rf"^message {a}->{b} has shape \(2, 2\) but its bond dimension is 3$"):
+        Environment(state, Messages(state.graph, msgs.chis, msgs.stack[:, :2, :2]))
+    padded = isolated_vertex_state()
+    msgs = init_messages(padded, "random", 1)
+    dirty = msgs.stack.copy()
+    dirty[Environment(padded, msgs).lay.padding] = 5.0 + 2.0j
+    env = Environment(padded, Messages(padded.graph, msgs.chis, dirty))
+    assert not np.shares_memory(env.msg_stack, dirty) and env.msg_stack.tobytes() == msgs.stack.tobytes()
 
 
 def test_descent_hands_its_final_messages_to_bp_unpacked():
@@ -109,4 +131,5 @@ def test_descent_hands_its_final_messages_to_bp_unpacked():
     traces = _descend(g, VarConfig(t_var=2), [(transverse_field_ising(g, hx), 1, "") for hx in (1.0, 3.0)])
     for trace in traces:
         assert isinstance(trace.final_messages, Messages)
-        assert Environment(trace.final_state, trace.final_messages).msg_stack is trace.final_messages.stack
+        assert np.shares_memory(Environment(trace.final_state, trace.final_messages).msg_stack,
+                                trace.final_messages.stack)

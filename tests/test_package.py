@@ -95,31 +95,6 @@ def test_cli_import_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
-def test_cli_runs_load_no_masked_arrays(tmp_path):
-    """No subcommand loads ``numpy.ma``, which some numpy functions (``np.unique``) import on first call, at about
-    10 ms per process."""
-    src = os.path.dirname(os.path.dirname(sparsetn.__file__))
-    code = f"""
-import sys
-from sparsetn import cli
-out = {str(tmp_path)!r}
-g = out + "/g.json"
-runs = [
-    ["graph-gen", "--n", "12", "--r", "3", "--seed", "1", "--out", g, "--out-dir", out],
-    ["sqrt-sweep", "--graph", g, "--betas", "0.4,0.8", "--mc-sweeps", "200", "--mc-burn-in", "50", "--out-dir", out],
-    ["tfim-sweep", "--graph", g, "--hx-grid", "1,3", "--t-var", "2", "--oracle", "--out-dir", out],
-    ["var-prep", "--graph", g, "--t-var", "2", "--chi", "3", "--init", "random", "--save-state", "--out-dir", out],
-    ["bp-run", "--graph", g, "--state", "random", "--init", "random", "--save-messages", "--out-dir", out],
-    ["graphstate-check", "--graph", g, "--init", "random", "--out-dir", out],
-]
-for argv in runs:
-    print(cli.main(argv), "numpy.ma" in sys.modules)
-"""
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:6] == ["0 False"] * 6
-
-
 def test_oracle_runs_load_no_scipy(tmp_path):
     """Exact diagonalization on both CLI paths that run it, at Lanczos sizes, in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(sparsetn.__file__))
